@@ -1,0 +1,10 @@
+"""Make the benchmark's modules importable from its tests."""
+
+import sys
+from pathlib import Path
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent))
+
+import harness  # noqa: E402
+
+harness.bootstrap()
