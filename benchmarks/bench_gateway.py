@@ -94,7 +94,7 @@ def test_gateway_throughput():
         ServiceConfig(max_batch=256, max_queue_depth=N_REQUESTS)
     )
     service.register("bench", detector, threshold=-4.0)
-    service.start(interval_s=0.001)
+    service.start()
     registry = ModelRegistry()
     registry.publish("bench", model, activate=True)
     gateway = DetectionGateway(

@@ -33,9 +33,12 @@ swap barrier), then in-flight sessions are rebound in place.  No session is
 dropped or gap-marked by an upgrade; ``tests/test_gateway_e2e.py`` proves
 this black-box over a sharded fleet.
 
-Event-loop discipline: every service call (lock + pipe I/O) and every
-``Ticket.result`` wait runs in ``asyncio.to_thread``, so slow drains never
-stall the accept loop or other connections.
+Event-loop discipline: every service call (lock + pipe I/O) runs in
+``asyncio.to_thread``, so slow drains never stall the accept loop or other
+connections.  Outcomes are awaited on the loop itself: each ticket's
+done-callback settles a loop future from the draining thread, so a parked
+``observe`` holds no executor thread and any number of them can wait
+without starving other routes.
 """
 
 from __future__ import annotations
@@ -644,23 +647,43 @@ class DetectionGateway:
                         self.service.submit, detector, session_id, symbol=item
                     )
                 )
-        outcomes = []
-        for ticket in tickets:
-            try:
-                outcome = await asyncio.to_thread(
-                    ticket.result, self.config.result_timeout_s
-                )
-            except TimeoutError:
-                raise _HTTPError(
-                    503,
-                    f"no outcome within {self.config.result_timeout_s}s "
-                    "(is the pump running?)",
-                ) from None
-            outcomes.append(outcome)
+        outcomes = [await self._outcome_of(ticket) for ticket in tickets]
         status = max(outcome_status(o) for o in outcomes)
         if symbols is not None:
             return status, {"results": [outcome_to_json(o) for o in outcomes]}, None
         return status, outcome_to_json(outcomes[0]), None
+
+    async def _outcome_of(self, ticket):
+        """Await one ticket on the event loop, without parking a thread.
+
+        The ticket's done-callback runs in the draining thread and hands
+        the outcome over with ``call_soon_threadsafe``.  A timeout answers
+        503 and leaves the ticket alone: a later drain still resolves it
+        exactly once, and the late hand-off is a no-op on the cancelled
+        future (or on a loop that has since closed).
+        """
+        loop = asyncio.get_running_loop()
+        future = loop.create_future()
+
+        def settle(outcome) -> None:
+            if not future.done():
+                future.set_result(outcome)
+
+        def on_done(outcome) -> None:
+            try:
+                loop.call_soon_threadsafe(settle, outcome)
+            except RuntimeError:
+                pass  # the gateway stopped; nobody awaits this outcome
+
+        ticket.add_done_callback(on_done)
+        try:
+            return await asyncio.wait_for(future, self.config.result_timeout_s)
+        except asyncio.TimeoutError:
+            raise _HTTPError(
+                503,
+                f"no outcome within {self.config.result_timeout_s}s "
+                "(is the pump running?)",
+            ) from None
 
     def _registry_index(self) -> dict:
         lineages = {}

@@ -17,10 +17,14 @@ never drops a request silently:
 from __future__ import annotations
 
 import enum
+import logging
 import threading
 from dataclasses import dataclass
+from typing import Callable
 
 from ..core.monitor import Alert
+
+log = logging.getLogger(__name__)
 
 
 class ShedReason(enum.Enum):
@@ -146,28 +150,57 @@ class Ticket:
     """A one-shot future for a submission's outcome.
 
     The scheduler resolves each ticket exactly once; ``result()`` blocks
-    until then (or raises on timeout).  In synchronous deployments
-    (``service.pump()`` called by the same thread) the outcome is already
-    set by the time ``submit`` returns control.
+    until then (or raises on timeout), and every callback registered with
+    :meth:`add_done_callback` runs once with the outcome.  In synchronous
+    deployments (``service.pump()`` called by the same thread) the outcome
+    is already set by the time ``submit`` returns control.
     """
 
-    __slots__ = ("_event", "_outcome")
+    __slots__ = ("_cond", "_outcome", "_callbacks")
 
     def __init__(self) -> None:
-        self._event = threading.Event()
+        self._cond = threading.Condition(threading.Lock())
         self._outcome: ScoreOutcome | None = None
+        self._callbacks: list[Callable[[ScoreOutcome], object]] = []
 
     def _resolve(self, outcome: ScoreOutcome) -> None:
-        if self._outcome is not None:  # pragma: no cover - internal invariant
-            raise AssertionError("ticket resolved twice")
-        self._outcome = outcome
-        self._event.set()
+        with self._cond:
+            if self._outcome is not None:  # pragma: no cover - internal invariant
+                raise AssertionError("ticket resolved twice")
+            self._outcome = outcome
+            callbacks, self._callbacks = self._callbacks, []
+            self._cond.notify_all()
+        for callback in callbacks:
+            _run_callback(callback, outcome)
+
+    def add_done_callback(self, callback: Callable[[ScoreOutcome], object]) -> None:
+        """Call ``callback(outcome)`` once, when the ticket resolves.
+
+        A ticket that is already resolved calls it immediately, in the
+        calling thread; otherwise it runs in the thread that resolves the
+        ticket, usually inside a drain that holds the service lock, so it
+        must be quick.  An exception it raises is logged, never
+        propagated: a callback cannot fail the drain that resolved it.
+        """
+        with self._cond:
+            outcome = self._outcome
+            if outcome is None:
+                self._callbacks.append(callback)
+                return
+        _run_callback(callback, outcome)
 
     def done(self) -> bool:
-        return self._event.is_set()
+        return self._outcome is not None
 
     def result(self, timeout: float | None = None) -> ScoreOutcome:
-        if not self._event.wait(timeout):
-            raise TimeoutError("outcome not available yet")
-        assert self._outcome is not None
+        with self._cond:
+            if not self._cond.wait_for(self.done, timeout):
+                raise TimeoutError("outcome not available yet")
         return self._outcome
+
+
+def _run_callback(callback, outcome: ScoreOutcome) -> None:
+    try:
+        callback(outcome)
+    except Exception:
+        log.exception("ticket done-callback %r raised; ignored", callback)

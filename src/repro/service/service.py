@@ -14,13 +14,15 @@ Two deployment shapes:
 * **synchronous** — call :meth:`DetectionService.pump` (or
   :meth:`drain_pending`) from your own loop; tickets resolve before pump
   returns.  Deterministic; what the tests and benchmarks drive.
-* **threaded** — :meth:`start` launches a background drain loop; tickets
-  resolve as the loop gets to them, and the loop survives scoring errors
-  (a crashed drain resolves its tickets ``Failed`` and keeps going).
-  ``submit`` never waits for a *future* batch, but it does share one
-  service lock with the drain, so a producer can block for up to one
-  in-flight micro-batch's forward pass.  :meth:`close` stops the loop and
-  (by default) gracefully drains everything still queued.
+* **threaded** — :meth:`start` launches a background drain loop that
+  sleeps until a ``submit`` wakes it (no idle polling) and drains until a
+  round resolves nothing; tickets resolve as the loop gets to them, and
+  the loop survives scoring errors (a crashed drain resolves its tickets
+  ``Failed`` and keeps going).  ``submit`` never waits for a *future*
+  batch, but it does share one service lock with the drain, so a producer
+  can block for up to one in-flight micro-batch's forward pass.
+  :meth:`close` stops the loop and (by default) gracefully drains
+  everything still queued.
 """
 
 from __future__ import annotations
@@ -132,6 +134,7 @@ class DetectionService:
         self._closed = False
         self._thread: threading.Thread | None = None
         self._stop = threading.Event()
+        self._wake = threading.Event()
 
     # ------------------------------------------------------------------
     # Fleet registration
@@ -377,7 +380,8 @@ class DetectionService:
                 self.stats.count_shed(reason)
             self.stats.max_depth_seen = max(self.stats.max_depth_seen, lane.depth)
             telemetry.gauge_set(f"service.queue.depth.{detector}", lane.depth)
-            return ticket
+        self._wake.set()
+        return ticket
 
     # ------------------------------------------------------------------
     # Draining
@@ -419,7 +423,7 @@ class DetectionService:
     # ------------------------------------------------------------------
     # Threaded deployment + shutdown
     # ------------------------------------------------------------------
-    def start(self, interval_s: float = 0.001) -> None:
+    def start(self) -> None:
         """Launch the background drain loop (idempotent)."""
         with self._lock:
             if self._closed:
@@ -428,12 +432,19 @@ class DetectionService:
                 return
             self._stop.clear()
             self._thread = threading.Thread(
-                target=self._run, args=(interval_s,), name="repro-service", daemon=True
+                target=self._run, name="repro-service", daemon=True
             )
             self._thread.start()
 
-    def _run(self, interval_s: float) -> None:
-        while not self._stop.is_set():
+    def _run(self) -> None:
+        while True:
+            # Clear before the round, wait only after an empty one: a submit
+            # admitted after the clear sets the event again, and one admitted
+            # before it is in the queue this round drains, so no wake-up is
+            # lost.  close() sets _stop before the event for the same reason.
+            self._wake.clear()
+            if self._stop.is_set():
+                return
             try:
                 resolved = self.pump()
             except Exception:
@@ -444,8 +455,7 @@ class DetectionService:
                 telemetry.counter_add("service.drain_errors")
                 continue
             if resolved == 0:
-                # Idle: sleep a beat instead of spinning.
-                self._stop.wait(interval_s)
+                self._wake.wait()
 
     def close(self, drain: bool = True) -> int:
         """Shut down; returns how many pending requests were handled.
@@ -459,6 +469,7 @@ class DetectionService:
                 return 0
             thread = self._thread
             self._stop.set()
+            self._wake.set()
         if thread is not None:
             thread.join()
         with self._lock:

@@ -456,6 +456,7 @@ class ShardedDetectionService:
         self._closing = False
         self._thread: threading.Thread | None = None
         self._stop = threading.Event()
+        self._wake = threading.Event()
         self._shard_crashes = 0
         self._crash_failed = 0
         self._final_worker_stats: list[dict] = []
@@ -982,7 +983,8 @@ class ShardedDetectionService:
                 symbol,
             )
             self._send_submissions(handle, [item])
-            return ticket
+        self._wake.set()
+        return ticket
 
     def submit_many(
         self,
@@ -1025,7 +1027,8 @@ class ShardedDetectionService:
                     self._collect_ready(handle)
                 if handle.alive:
                     self._send_submissions(handle, items)
-            return tickets
+        self._wake.set()
+        return tickets
 
     def _send_submissions(self, handle: _ShardHandle, items: list) -> None:
         if not handle.process.is_alive():
@@ -1087,7 +1090,7 @@ class ShardedDetectionService:
     # ------------------------------------------------------------------
     # Threaded deployment + shutdown
     # ------------------------------------------------------------------
-    def start(self, interval_s: float = 0.001) -> None:
+    def start(self) -> None:
         """Launch the background pump loop (idempotent)."""
         with self._lock:
             if self._closed:
@@ -1096,15 +1099,18 @@ class ShardedDetectionService:
                 return
             self._stop.clear()
             self._thread = threading.Thread(
-                target=self._run,
-                args=(interval_s,),
-                name="repro-sharded-service",
-                daemon=True,
+                target=self._run, name="repro-sharded-service", daemon=True
             )
             self._thread.start()
 
-    def _run(self, interval_s: float) -> None:
-        while not self._stop.is_set():
+    def _run(self) -> None:
+        # The same wake protocol as DetectionService._run.  An idle loop
+        # needs no tick to notice a dead shard: submit notices it before
+        # sending, and pump notices it while waiting for the ack.
+        while True:
+            self._wake.clear()
+            if self._stop.is_set():
+                return
             try:
                 resolved = self.pump()
             except ServiceError:
@@ -1114,7 +1120,7 @@ class ShardedDetectionService:
                 telemetry.counter_add("service.drain_errors")
                 continue
             if resolved == 0:
-                self._stop.wait(interval_s)
+                self._wake.wait()
 
     def close(self, drain: bool = True) -> int:
         """Shut every shard down; returns how many pending requests were
@@ -1131,6 +1137,7 @@ class ShardedDetectionService:
             self._closing = True
             thread = self._thread
             self._stop.set()
+            self._wake.set()
         if thread is not None:
             thread.join()
         with self._lock:

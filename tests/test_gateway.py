@@ -11,6 +11,9 @@ import http.client
 import importlib.util
 import json
 import math
+import os
+import threading
+import time
 from pathlib import Path
 
 import pytest
@@ -527,3 +530,61 @@ class TestGatewayHTTP:
             {"window": ["open", "read", "write", "close", "read"]},
         )
         assert status == 503
+
+
+class TestParkedObserves:
+    """An observe waiting on its ticket holds no executor thread, so any
+    number of them can park without starving other routes."""
+
+    def test_parked_observes_do_not_starve_other_routes(self):
+        # Two more than the default executor has threads.
+        parked = min(32, (os.cpu_count() or 1) + 4) + 2
+        model = random_model(SYMBOLS, n_states=3, seed=1)
+        service = DetectionService(ServiceConfig(max_batch=64, default_window=5))
+        service.register("served", PretrainedDetector(model, name="served"))
+        gateway = DetectionGateway(service, ModelRegistry(), GatewayConfig())
+        gateway.start()  # the service's pump is never started
+        statuses: list = []
+
+        def observe(index):
+            conn = http.client.HTTPConnection(
+                "127.0.0.1", gateway.port, timeout=60
+            )
+            try:
+                conn.request(
+                    "POST",
+                    f"/v1/sessions/served/parked{index}/observe",
+                    body=json.dumps({"window": SYMBOLS + ["open"]}).encode(),
+                )
+                response = conn.getresponse()
+                response.read()
+                statuses.append(response.status)
+            finally:
+                conn.close()
+
+        clients = [
+            threading.Thread(target=observe, args=(index,))
+            for index in range(parked)
+        ]
+        try:
+            for client in clients:
+                client.start()
+            deadline = time.monotonic() + 5.0
+            while service.pending < parked and time.monotonic() < deadline:
+                time.sleep(0.01)
+            assert service.pending == parked
+            started = time.monotonic()
+            status, payload = _request(gateway, "GET", "/health")
+            assert status == 200 and payload["pending"] == parked
+            assert time.monotonic() - started < 1.0
+            status, payload = _request(gateway, "POST", "/v1/admin/pump", {})
+            assert (status, payload["resolved"]) == (200, parked)
+            for client in clients:
+                client.join(timeout=30)
+            assert not any(client.is_alive() for client in clients)
+            assert statuses == [200] * parked
+        finally:
+            service.close(drain=True)
+            gateway.stop()
+            for client in clients:
+                client.join(timeout=30)

@@ -12,6 +12,13 @@ The load-bearing guarantees:
 
 from __future__ import annotations
 
+import http.client
+import json
+import logging
+import sys
+import threading
+import time
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -21,6 +28,7 @@ from repro.api import load_pretrained
 from repro.core.monitor import OnlineMonitor
 from repro.core.streaming import StreamingScorer
 from repro.errors import NotFittedError, ServiceError
+from repro.gateway import DetectionGateway, GatewayConfig
 from repro.hmm import log_likelihood, random_model
 from repro.hmm.forward import log_likelihood_ragged
 from repro.hmm.model import HiddenMarkovModel
@@ -34,6 +42,7 @@ from repro.service import (
     ServiceConfig,
     ShedReason,
     Streamed,
+    Ticket,
     load_fleet,
 )
 
@@ -714,3 +723,232 @@ class TestCloseSession:
         service = fresh_service(detector)
         with pytest.raises(ServiceError, match="no detector"):
             service.close_session("ghost", "s")
+
+
+class TestTicketCallbacks:
+    def test_callback_fires_once_with_the_outcome(self, detector):
+        service = fresh_service(detector)
+        ticket = service.submit("svc", "s", window=make_windows(1)[0])
+        seen = []
+        ticket.add_done_callback(seen.append)
+        assert seen == []
+        assert service.pump() == 1
+        assert service.pump() == 0
+        assert seen == [ticket.result(timeout=0)]
+        assert isinstance(seen[0], Scored)
+
+    def test_late_callback_fires_immediately(self, detector):
+        service = fresh_service(detector)
+        ticket = service.submit("svc", "s", window=make_windows(1)[0])
+        service.pump()
+        seen = []
+        ticket.add_done_callback(seen.append)
+        assert seen == [ticket.result(timeout=0)]
+
+    def test_raising_callback_fails_neither_others_nor_the_drain(
+        self, detector, caplog
+    ):
+        service = fresh_service(detector)
+        windows = make_windows(3)
+        tickets = [service.submit("svc", "s", window=w) for w in windows]
+        seen = []
+
+        def broken(outcome):
+            raise RuntimeError("callback bug")
+
+        for ticket in tickets:
+            ticket.add_done_callback(broken)
+            ticket.add_done_callback(seen.append)
+        with caplog.at_level(logging.ERROR, logger="repro.service"):
+            assert service.pump() == 3
+        assert seen == [t.result(timeout=0) for t in tickets]
+        assert [o.score for o in seen] == detector.score(windows).tolist()
+        assert service.stats.scored == 3
+        logged = [r for r in caplog.records if "done-callback" in r.getMessage()]
+        assert len(logged) == 3
+
+    def test_register_racing_resolve_fires_each_callback_once(self):
+        tickets = [Ticket() for _ in range(2000)]
+        calls = [0] * len(tickets)
+        outcome = Absorbed(detector="d", session="s", queued_s=0.0)
+
+        def resolve_all():
+            for ticket in tickets:
+                ticket._resolve(outcome)
+
+        resolver = threading.Thread(target=resolve_all)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            resolver.start()
+            for index, ticket in enumerate(tickets):
+                ticket.add_done_callback(
+                    lambda _, index=index: calls.__setitem__(index, calls[index] + 1)
+                )
+            resolver.join(timeout=10)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not resolver.is_alive()
+        assert calls == [1] * len(tickets)
+
+
+class TestThreadedWake:
+    def test_idle_loop_sleeps_until_a_submit(self, detector, count_pump_rounds):
+        service = fresh_service(detector)
+        rounds = count_pump_rounds(service)
+        service.start()
+        time.sleep(0.2)
+        assert len(rounds) <= 1
+        ticket = service.submit("svc", "s", window=make_windows(1)[0])
+        assert isinstance(ticket.result(timeout=10.0), Scored)
+        service.close()
+
+    def test_submit_racing_an_empty_round_still_wakes_the_loop(self, detector):
+        service = fresh_service(detector)
+        real_pump = service.pump
+        raced = []
+
+        def pump(*args, **kwargs):
+            resolved = real_pump(*args, **kwargs)
+            if resolved == 0 and not raced:
+                # Admit a request after the round found the queue empty but
+                # before the loop decides to sleep.
+                raced.append(service.submit("svc", "s", window=make_windows(1)[0]))
+            return resolved
+
+        service.pump = pump
+        service.start()
+        try:
+            assert _wait_for(lambda: raced)
+            assert isinstance(raced[0].result(timeout=5.0), Scored)
+        finally:
+            service.close()
+
+    def test_close_on_idle_loop_returns_promptly(self, detector):
+        service = fresh_service(detector)
+        service.start()
+        time.sleep(0.05)
+        closer = threading.Thread(target=service.close, daemon=True)
+        closer.start()
+        closer.join(timeout=1.0)
+        assert not closer.is_alive()
+
+    def test_bursty_submitters_lose_no_wake_up(self, detector, stream_bursts):
+        service = fresh_service(detector)
+        service.start()
+        try:
+            streams = stream_bursts(service, "svc", SYMBOLS)
+            deadline = time.monotonic() + 10.0
+            for symbols, tickets in streams.values():
+                outcomes = [
+                    t.result(timeout=max(0.0, deadline - time.monotonic()))
+                    for t in tickets
+                ]
+                reference = StreamingScorer.for_detector(detector)
+                assert [o.surprise for o in outcomes] == \
+                    reference.observe_many(symbols)
+        finally:
+            service.close()
+
+
+def _post_observe(port: int, session_id: str, window, statuses: list) -> None:
+    """POST one window observe; record its status, or the error that ended
+    the connection (a stopped gateway may close it unanswered)."""
+    conn = http.client.HTTPConnection("127.0.0.1", port, timeout=30)
+    try:
+        conn.request(
+            "POST",
+            f"/v1/sessions/svc/{session_id}/observe",
+            body=json.dumps({"window": list(window)}).encode(),
+        )
+        response = conn.getresponse()
+        response.read()
+        statuses.append(response.status)
+    except (OSError, http.client.HTTPException) as exc:
+        statuses.append(type(exc).__name__)
+    finally:
+        conn.close()
+
+
+def _capture_tickets(service) -> list:
+    """Record every ticket ``service.submit`` hands out from now on."""
+    tickets = []
+    real_submit = service.submit
+
+    def submit(*args, **kwargs):
+        ticket = real_submit(*args, **kwargs)
+        tickets.append(ticket)
+        return ticket
+
+    service.submit = submit
+    return tickets
+
+
+def _wait_for(predicate, timeout: float = 10.0) -> bool:
+    deadline = time.monotonic() + timeout
+    while not predicate():
+        if time.monotonic() > deadline:
+            return False
+        time.sleep(0.01)
+    return True
+
+
+class TestGatewayAwaitedTickets:
+    """Tickets a gateway awaits through done-callbacks, resolved after the
+    gateway stopped or gave up on them."""
+
+    def test_close_after_gateway_stop_drains_parked_tickets(
+        self, detector, caplog
+    ):
+        service = fresh_service(detector)
+        gateway = DetectionGateway(
+            service, config=GatewayConfig(result_timeout_s=2.0)
+        )
+        gateway.start()
+        windows = make_windows(6)
+        statuses: list = []
+        clients = [
+            threading.Thread(
+                target=_post_observe, args=(gateway.port, f"p{i}", w, statuses)
+            )
+            for i, w in enumerate(windows)
+        ]
+        for client in clients:
+            client.start()
+        assert _wait_for(lambda: service.pending == len(windows))
+        time.sleep(0.2)  # the loop registers each callback right after submit
+        with caplog.at_level(logging.ERROR):
+            gateway.stop()
+            handled = service.close(drain=True)
+        for client in clients:
+            client.join(timeout=30)
+        assert not any(client.is_alive() for client in clients)
+        assert handled == len(windows)
+        assert service.stats.scored == len(windows)
+        assert [r.getMessage() for r in caplog.records] == []
+
+    def test_timed_out_observe_resolves_once_on_a_later_pump(self, detector):
+        service = fresh_service(detector)
+        tickets = _capture_tickets(service)
+        windows = make_windows(3)
+        statuses: list = []
+        with DetectionGateway(
+            service, config=GatewayConfig(result_timeout_s=0.2)
+        ) as gateway:
+            for i, window in enumerate(windows):
+                _post_observe(gateway.port, f"late{i}", window, statuses)
+            assert statuses == [503] * len(windows)
+            assert not any(t.done() for t in tickets)
+            seen = []
+            for ticket in tickets:
+                ticket.add_done_callback(seen.append)
+            assert service.pump() == len(windows)
+            assert service.pump() == 0
+        outcomes = [t.result(timeout=0) for t in tickets]
+        assert seen == outcomes
+        assert [o.score for o in outcomes] == detector.score(windows).tolist()
+        stats = service.stats
+        assert stats.submitted == len(tickets)
+        assert stats.scored == sum(isinstance(o, Scored) for o in outcomes)
+        assert stats.failed == stats.shed_total == 0
+        service.close()

@@ -19,12 +19,15 @@ from __future__ import annotations
 
 import os
 import signal
+import threading
+import time
 
 import numpy as np
 import pytest
 
 from repro import api, telemetry
 from repro.api import load_pretrained
+from repro.core.streaming import StreamingScorer
 from repro.errors import NotFittedError, ServiceError
 from repro.service import (
     Absorbed,
@@ -262,7 +265,7 @@ class TestAdmissionAndShutdown:
 
     def test_background_loop_resolves_tickets(self, sharded):
         service = sharded(2)
-        service.start(interval_s=0.001)
+        service.start()
         tickets = service.submit_many(
             "d", [(f"sess-{i}", w) for i, w in enumerate(make_windows(20))]
         )
@@ -280,6 +283,63 @@ class TestAdmissionAndShutdown:
         assert isinstance(ticket.result(timeout=10), Scored)
         with pytest.raises(ServiceError, match="closed"):
             service.submit("d", "s", window=make_windows(1)[0])
+
+
+class TestThreadedWake:
+    def test_idle_loop_sleeps_until_a_submit(self, sharded, count_pump_rounds):
+        service = sharded(2)
+        rounds = count_pump_rounds(service)
+        service.start()
+        time.sleep(0.2)
+        assert len(rounds) <= 1
+        ticket = service.submit("d", "s", window=make_windows(1)[0])
+        assert isinstance(ticket.result(timeout=10), Scored)
+
+    def test_submit_racing_an_empty_round_still_wakes_the_loop(self, sharded):
+        service = sharded(2)
+        real_pump = service.pump
+        raced = []
+
+        def pump(*args, **kwargs):
+            resolved = real_pump(*args, **kwargs)
+            if resolved == 0 and not raced:
+                # Admit a request after the round found every shard empty
+                # but before the loop decides to sleep.
+                raced.append(service.submit("d", "s", window=make_windows(1)[0]))
+            return resolved
+
+        service.pump = pump
+        service.start()
+        deadline = time.monotonic() + 10.0
+        while not raced and time.monotonic() < deadline:
+            time.sleep(0.01)
+        assert isinstance(raced[0].result(timeout=5.0), Scored)
+
+    def test_close_on_idle_loop_returns_promptly(self, sharded):
+        service = sharded(2)
+        service.start()
+        time.sleep(0.05)
+        closer = threading.Thread(target=service.close, daemon=True)
+        closer.start()
+        closer.join(timeout=1.0)
+        assert not closer.is_alive()
+
+    def test_bursty_submitters_lose_no_wake_up(
+        self, sharded, detector, stream_bursts
+    ):
+        service = sharded(2)
+        service.start()
+        streams = stream_bursts(service, "d", SYMBOLS)
+        assert {service.shard_of(session) for session in streams} == {0, 1}
+        deadline = time.monotonic() + 10.0
+        for symbols, tickets in streams.values():
+            outcomes = [
+                t.result(timeout=max(0.0, deadline - time.monotonic()))
+                for t in tickets
+            ]
+            reference = StreamingScorer.for_detector(detector)
+            assert [o.surprise for o in outcomes] == \
+                reference.observe_many(symbols)
 
 
 def _kill_shard(service: ShardedDetectionService, shard: int) -> None:
@@ -556,7 +616,7 @@ class TestWarmSwapSharded:
         retrained = random_model(SYMBOLS, n_states=4, seed=12)
         registry.publish("d", retrained, activate=True)
 
-        service.start(interval_s=0.001)  # threaded pump owns draining now
+        service.start()  # threaded pump owns draining now
         session = next(
             f"s{i}" for i in range(100) if service.shard_of(f"s{i}") == 0
         )
