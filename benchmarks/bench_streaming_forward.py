@@ -1,8 +1,9 @@
 """Incremental streaming forward + cross-detector fused drain — PR 8.
 
 Not a paper table: this bench pins the two streaming-era fast paths
-against the implementations they replace (kept callable in-product as
-flag-off oracles, the ``bench_em_kernels`` verbatim-legacy pattern):
+against the implementations they replace (kept verbatim in this file or
+behind the service's ``cross_detector_batching`` flag, the
+``bench_em_kernels`` verbatim-legacy pattern):
 
 * **per-event scoring** — the O(W·N²) windowed recompute every event
   (re-encode the sliding 15-call window and re-run the forward recursion,
@@ -19,10 +20,10 @@ flag-off oracles, the ``bench_em_kernels`` verbatim-legacy pattern):
 Three bit-identity gates make the speedups trustworthy (exit code 1 on
 any divergence):
 
-* the incremental filter must reproduce the verbatim legacy filter
-  (``StreamingScorer(..., incremental=False)``) exactly — per-event
-  surprisals and windowed scores, across a mid-stream reset and a
-  warm-swap rebind;
+* the incremental filter must reproduce the allocating filter it
+  replaced (``LegacyFilter``, kept verbatim in this file) exactly —
+  per-event surprisals and windowed scores, across a mid-stream reset
+  and a warm-swap rebind;
 * the carried state must equal a full windowed recompute: replaying the
   retained history from scratch at sampled positions must land on the
   same belief vector and windowed score bit-for-bit;
@@ -51,7 +52,7 @@ import numpy as np
 from repro.api import load_pretrained
 from repro.core.streaming import StreamingScorer
 from repro.hmm import random_model
-from repro.hmm.forward import log_likelihood
+from repro.hmm.forward import SCALE_FLOOR, log_likelihood
 from repro.hmm.kernels import streaming_recent
 from repro.service import DetectionService
 from repro.service.config import ServiceConfig
@@ -110,6 +111,51 @@ def _incremental_per_event(scorer, symbols):
     return scores
 
 
+class LegacyFilter:
+    """The allocating forward filter ``StreamingScorer`` replaced, verbatim:
+    a fresh belief array per event and a deque of recent surprisals."""
+
+    def __init__(self, model, window):
+        self.model = model
+        self.window = window
+        self._belief = model.initial.copy()
+        self._started = False
+        self._recent: deque[float] = deque(maxlen=window)
+
+    def observe(self, symbol: str) -> float:
+        index = self.model.encode_symbol(symbol)
+        if self._started:
+            predictive = self._belief @ self.model.transition
+        else:
+            predictive = self._belief
+            self._started = True
+        joint = predictive * self.model.emission[:, index]
+        total = float(joint.sum())
+        total = max(total, SCALE_FLOOR)
+        self._belief = joint / total
+        surprise = -float(np.log(total))
+        self._recent.append(surprise)
+        return surprise
+
+    @property
+    def windowed_score(self) -> float:
+        return -float(np.mean(self._recent))
+
+    @property
+    def window_full(self) -> bool:
+        return len(self._recent) == self.window
+
+    def reset(self) -> None:
+        self._belief = self.model.initial.copy()
+        self._started = False
+        self._recent.clear()
+
+    def rebind(self, model) -> None:
+        self.model = model
+        self._belief = model.initial.copy()
+        self._started = False
+
+
 # ---------------------------------------------------------------------------
 # Bit-identity gates
 # ---------------------------------------------------------------------------
@@ -117,8 +163,8 @@ def _incremental_per_event(scorer, symbols):
 
 def _gate_incremental_vs_legacy(model, swap_model, symbols) -> bool:
     """Fast path ≡ verbatim legacy filter, through reset and rebind."""
-    fast = StreamingScorer(model, window=WINDOW, incremental=True)
-    slow = StreamingScorer(model, window=WINDOW, incremental=False)
+    fast = StreamingScorer(model, window=WINDOW)
+    slow = LegacyFilter(model, WINDOW)
     third = len(symbols) // 3
     for position, symbol in enumerate(symbols):
         if position == third:
@@ -138,7 +184,7 @@ def _gate_incremental_vs_legacy(model, swap_model, symbols) -> bool:
 
 def _gate_replay_oracle(model, symbols) -> bool:
     """Carried state ≡ replaying the retained history from scratch."""
-    carried = StreamingScorer(model, window=WINDOW, incremental=True)
+    carried = StreamingScorer(model, window=WINDOW)
     history: list[str] = []
     checkpoints = {len(symbols) // 4, len(symbols) // 2, len(symbols) - 1}
     for position, symbol in enumerate(symbols):
@@ -146,7 +192,7 @@ def _gate_replay_oracle(model, symbols) -> bool:
         history.append(symbol)
         if position not in checkpoints:
             continue
-        replay = StreamingScorer(model, window=WINDOW, incremental=True)
+        replay = StreamingScorer(model, window=WINDOW)
         for past in history:
             replay.observe(past)
         if not np.array_equal(
@@ -263,7 +309,7 @@ def run(smoke: bool, out_path: Path) -> int:
     recompute_s = best_of(reps, lambda: _recompute_per_event(model, stream, WINDOW))
 
     def run_incremental():
-        scorer = StreamingScorer(model, window=WINDOW, incremental=True)
+        scorer = StreamingScorer(model, window=WINDOW)
         _incremental_per_event(scorer, stream)
 
     run_incremental()  # warm-up (allocators, BLAS threads)

@@ -3,7 +3,7 @@
 Kernel speedups across ``BENCH_*.json`` are only comparable if every
 bench measures the same thing: a *single-threaded* BLAS.  An OpenBLAS
 that silently fans a GEMM out over however many cores the runner happens
-to have turns "compiled kernel vs numpy" into "one core vs N cores" —
+to have turns "fused kernel vs legacy loop" into "one core vs N cores" —
 noise dressed up as signal — and the bit-identity story is cleaner too
 (threaded reductions are where reorderings creep in).
 

@@ -78,14 +78,6 @@ THROUGHPUT_METRICS: dict[str, tuple[str, ...]] = {
         "fleet_drain.fused_windows_per_s",
         "fleet_drain.speedup",
     ),
-    "compiled_kernels": (
-        "streaming.compiled_events_per_s",
-        "streaming.speedup",
-        "batch.compiled_rows_per_s",
-        "batch.speedup",
-        "fleet.compiled_windows_per_s",
-        "fleet.speedup",
-    ),
     "robustness_grid": (
         "grid.cells_per_s",
     ),
@@ -103,7 +95,6 @@ BASELINE_FILES: dict[str, str] = {
     "gateway": "BENCH_gateway.json",
     "streaming_forward": "BENCH_streaming.json",
     "robustness_grid": "BENCH_robustness.json",
-    "compiled_kernels": "BENCH_compiled.json",
 }
 
 #: Keys whose values legitimately differ every run (timestamps, host
@@ -127,15 +118,6 @@ INVARIANT_FLAGS: dict[str, tuple[str, ...]] = {
         "bit_identity.incremental_vs_legacy_filter",
         "bit_identity.incremental_vs_replay_oracle",
         "bit_identity.fused_drain_vs_per_lane",
-    ),
-    "compiled_kernels": (
-        "backend.available",
-        "bit_identity.batch_compiled_vs_numpy",
-        "bit_identity.batch_subset_invariance",
-        "bit_identity.fleet_compiled_vs_numpy",
-        "bit_identity.fleet_compiled_vs_per_model_unique",
-        "bit_identity.streaming_compiled_vs_numpy_vs_legacy",
-        "bit_identity.service_outcomes_backend_independent",
     ),
     "robustness_grid": (
         "resume.bit_identical",

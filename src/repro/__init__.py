@@ -19,9 +19,7 @@ Top-level convenience re-exports; see the subpackages for the full API:
 
 The supported import surface is the :mod:`repro.api` facade —
 ``build_detector`` / ``fit`` / ``score`` / ``open_monitor`` /
-``load_pretrained`` — re-exported here.  Older constructor aliases
-(``make_detector``, ``detector_factory``) remain as shims that emit
-:class:`~repro.errors.ReproDeprecationWarning`.
+``load_pretrained`` — re-exported here.
 """
 
 from . import api, telemetry
@@ -43,7 +41,6 @@ from .core import (
     PretrainedDetector,
     RegularDetector,
     StiloDetector,
-    make_detector,
 )
 from .errors import (
     AnalysisError,
@@ -51,7 +48,6 @@ from .errors import (
     ModelError,
     NotFittedError,
     ProgramStructureError,
-    ReproDeprecationWarning,
     ReproError,
     ServiceError,
     TraceError,
@@ -76,7 +72,6 @@ __all__ = [
     "Program",
     "ProgramStructureError",
     "RegularDetector",
-    "ReproDeprecationWarning",
     "ReproError",
     "ServiceError",
     "StiloDetector",
@@ -89,7 +84,6 @@ __all__ = [
     "load_corpus",
     "load_pretrained",
     "load_program",
-    "make_detector",
     "open_monitor",
     "score",
     "telemetry",

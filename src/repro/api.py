@@ -23,10 +23,7 @@ grid gets the same resumable, content-addressed, parallel runner::
     corpus = grid.corpus()          # runs (resuming) then summarises
 
 The deeper modules (:mod:`repro.core`, :mod:`repro.hmm`, ...) stay
-importable for research use, but their constructor aliases
-(``make_detector``, ``detector_factory``) and the monolithic
-``run_accuracy_grid`` runner are deprecated shims that warn with
-:class:`~repro.errors.ReproDeprecationWarning` and forward here.
+importable for research use.
 
 .. rubric:: Threshold convention
 
@@ -99,7 +96,6 @@ __all__ = [
     "RobustnessGrid",
     "accuracy_comparisons",
     "accuracy_grid",
-    "available_kernel_backends",
     "build_detector",
     "detector_spec",
     "fit",
@@ -114,7 +110,6 @@ __all__ = [
     "robustness_grid",
     "run_grid",
     "score",
-    "use_kernel_backend",
 ]
 
 #: Anomalous iff ``score < threshold`` (strict; ties are normal).
@@ -212,45 +207,14 @@ def open_service(
     return create_service(config, shards=shards, shard_config=shard_config)
 
 
-def use_kernel_backend(name: str | None) -> str:
-    """Select the process-default kernel backend; returns the active name.
-
-    ``"numpy"`` is the always-available default; ``"compiled"`` builds a
-    small C library with the host toolchain and dispatches the three HMM
-    hot kernels through it — **bit-identical by construction and by
-    probe** (every accepted shape is verified against the numpy path at
-    first use; unverifiable shapes, a missing compiler, or a failed
-    build degrade to numpy with a one-time :class:`RuntimeWarning` and a
-    ``hmm.backend.fallback`` counter).  ``None`` re-reads the
-    ``REPRO_KERNEL_BACKEND`` environment variable.  Unknown names raise
-    :class:`~repro.errors.KernelBackendError`.
-
-    Per-component selection — without touching the process default — is
-    available via ``ServiceConfig(kernel_backend=...)`` and
-    ``StreamingScorer(kernel_backend=...)``.  See ``docs/perf.md`` for
-    the precedence matrix.
-    """
-    from .hmm import backends
-
-    return backends.use_backend(name).name
-
-
 def kernel_backend() -> str:
-    """The name of the kernel backend currently serving dispatched calls.
+    """The name of the kernel implementation scoring calls: always ``"numpy"``.
 
-    Reports the *effective* backend: if ``compiled`` was requested but
-    unavailable on this host, this returns ``"numpy"``.
+    The compiled backend and its selection knobs are retired (see
+    ``docs/perf.md``, "Retired: compiled kernels"); this stays because
+    the repository benchmark records it in every run's metadata line.
     """
-    from .hmm import backends
-
-    return backends.active_backend().name
-
-
-def available_kernel_backends() -> tuple[str, ...]:
-    """Registered kernel-backend names (registration, not availability)."""
-    from .hmm import backends
-
-    return backends.available_backends()
+    return "numpy"
 
 
 def open_registry(cache=None):

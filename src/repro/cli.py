@@ -83,12 +83,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="enable telemetry and write the metrics/span snapshot as JSON "
              "to PATH on exit (default: $REPRO_METRICS_OUT, else disabled; "
              "see docs/telemetry.md for the schema)")
-    parser.add_argument(
-        "--kernel-backend", default=None, metavar="NAME",
-        help="kernel backend for the HMM hot paths: 'numpy' (default) or "
-             "'compiled' (C via the host toolchain, probed bit-identical; "
-             "falls back to numpy with a warning if unavailable). Default: "
-             "$REPRO_KERNEL_BACKEND, else numpy. See docs/perf.md")
     sub = parser.add_subparsers(dest="command", required=True)
 
     sub.add_parser("corpus", help="list the synthetic corpus programs")
@@ -769,12 +763,6 @@ def main(argv: list[str] | None = None) -> int:
     if metrics_out is not None:
         telemetry.enable()
     try:
-        if args.kernel_backend is not None:
-            # Activate before dispatch so an unknown name fails up front
-            # (exit 2) and an unavailable one warns once, not mid-command.
-            from .hmm import backends
-
-            backends.use_backend(args.kernel_backend)
         return _dispatch(args)
     except ReproError as exc:
         print(f"error: {exc}", file=sys.stderr)

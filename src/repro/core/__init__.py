@@ -27,9 +27,7 @@ from .registry import (
     MODEL_NAMES,
     DetectorSpec,
     build_detector,
-    detector_factory,
     detector_spec,
-    make_detector,
     model_is_context_sensitive,
 )
 from .static_models import ClusterPolicy, CMarkovDetector, StiloDetector
@@ -67,9 +65,7 @@ __all__ = [
     "cross_validate",
     "curve",
     "detection_rate",
-    "detector_factory",
     "fn_at_fp",
-    "make_detector",
     "margin_threshold",
     "model_is_context_sensitive",
     "rates_at_threshold",

@@ -10,11 +10,9 @@ Maps the paper's model names to constructors:
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
-from typing import Callable
 
-from ..errors import EvaluationError, ReproDeprecationWarning
+from ..errors import EvaluationError
 from ..program.calls import CallKind
 from ..program.program import Program
 from .detector import Detector, DetectorConfig
@@ -136,56 +134,6 @@ def detector_spec(
         kind=CallKind(kind),
         config=config,
         cluster_policy=cluster_policy,
-    )
-
-
-# ---------------------------------------------------------------------------
-# Deprecated entry points (kept as thin shims; see repro.api)
-# ---------------------------------------------------------------------------
-
-
-def make_detector(
-    model_name: str,
-    program: Program,
-    kind: CallKind,
-    config: DetectorConfig | None = None,
-    cluster_policy: ClusterPolicy | None = None,
-) -> Detector:
-    """Deprecated alias of :func:`build_detector`.
-
-    .. deprecated:: 1.1
-        Use :func:`repro.api.build_detector`.
-    """
-    warnings.warn(
-        "make_detector() is deprecated; use repro.api.build_detector()",
-        ReproDeprecationWarning,
-        stacklevel=2,
-    )
-    return build_detector(
-        model_name, program, kind, config=config, cluster_policy=cluster_policy
-    )
-
-
-def detector_factory(
-    model_name: str,
-    program: Program,
-    kind: CallKind,
-    config: DetectorConfig | None = None,
-    cluster_policy: ClusterPolicy | None = None,
-) -> Callable[[], Detector]:
-    """Deprecated alias of :func:`detector_spec`.
-
-    .. deprecated:: 1.1
-        Use :func:`repro.api.detector_spec` (or construct
-        :class:`DetectorSpec` directly).
-    """
-    warnings.warn(
-        "detector_factory() is deprecated; use repro.api.detector_spec()",
-        ReproDeprecationWarning,
-        stacklevel=2,
-    )
-    return detector_spec(
-        model_name, program, kind, config=config, cluster_policy=cluster_policy
     )
 
 

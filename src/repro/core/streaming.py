@@ -14,47 +14,29 @@ which is exactly the per-step normalizer of the scaled forward recursion —
 one ``O(N²)`` update per event, no window recomputation.  A windowed score
 can still be recovered as the mean of the last ``T`` surprisals.
 
-Two implementations live behind one flag:
-
-* the **incremental fast path** (default) delegates to the
-  zero-allocation :class:`~repro.hmm.kernels.StreamingState` kernels —
-  the belief update writes into preallocated buffers and the last
-  ``window`` surprisals sit in a ring buffer instead of a deque;
-* the **legacy path** (``incremental=False``, or
-  ``REPRO_STREAMING_INCREMENTAL=0``) is the original allocating filter,
-  kept verbatim as the bit-exactness oracle — the same pattern as the
-  ``bench_em_kernels`` verbatim-legacy gates.  The two paths produce
-  bit-identical surprisals, windowed scores, and belief states
-  (``tests/test_streaming_incremental.py`` proves it property-wise;
-  ``benchmarks/bench_streaming_forward.py`` gates it with exit 1).
+The scorer delegates to the zero-allocation
+:class:`~repro.hmm.kernels.StreamingState` kernels: the belief update
+writes into preallocated buffers and the last ``window`` surprisals sit in
+a ring buffer.  The original allocating filter it replaced is kept only as
+a bit-exactness reference — in ``tests/test_streaming_incremental.py``
+(property-wise) and ``benchmarks/bench_streaming_forward.py`` (exit-1
+gate); surprisals, windowed scores and belief states match it bit for bit.
 """
 
 from __future__ import annotations
-
-import os
-from collections import deque
 
 import numpy as np
 
 from .. import telemetry
 from ..errors import ModelError
-from ..hmm import backends
-from ..hmm.forward import SCALE_FLOOR
 from ..hmm.kernels import (
     StreamingState,
     streaming_rebind,
     streaming_recent,
     streaming_reset,
     streaming_step,
-    streaming_step_with,
 )
 from ..hmm.model import HiddenMarkovModel
-
-#: Environment switch for the incremental fast path (default on); set to
-#: ``0``/``false``/``off`` to fall back to the verbatim legacy filter —
-#: the escape hatch if a BLAS build ever breaks the height-invariance
-#: contract the kernels rely on.
-INCREMENTAL_ENV = "REPRO_STREAMING_INCREMENTAL"
 
 #: Telemetry bucket bounds for per-event surprise (``-log`` predictive
 #: probability: ~0 for expected calls, tens for alphabet-edge surprises).
@@ -64,11 +46,6 @@ SURPRISE_BUCKETS: tuple[float, ...] = (
 )
 
 
-def _incremental_default() -> bool:
-    value = os.environ.get(INCREMENTAL_ENV, "1").strip().lower()
-    return value not in {"0", "false", "no", "off"}
-
-
 class StreamingScorer:
     """Incremental forward filter over one observation stream.
 
@@ -76,56 +53,17 @@ class StreamingScorer:
         model: the trained HMM.
         window: number of recent surprisals averaged by
             :attr:`windowed_score` (defaults to the paper's 15).
-        incremental: use the ring-buffer fast path (default: the
-            :data:`INCREMENTAL_ENV` environment switch, normally on).
-            ``False`` runs the verbatim legacy filter — bit-identical,
-            just slower; it exists as the oracle the fast path is gated
-            against.
-        kernel_backend: named kernel backend
-            (:mod:`repro.hmm.backends`) the per-event step dispatches
-            through — e.g. ``"compiled"``.  ``None`` (default) follows
-            the ambient selection (an enclosing
-            :func:`~repro.hmm.backends.backend_scope` — the service
-            drain sets one — else the process default).  An explicit
-            name is resolved once here and pinned: a scorer constructed
-            with ``kernel_backend="numpy"`` stays on numpy even inside a
-            compiled scope.  Only meaningful on the incremental path
-            (the legacy filter is the oracle and never dispatches).
     """
 
-    def __init__(
-        self,
-        model: HiddenMarkovModel,
-        window: int = 15,
-        incremental: bool | None = None,
-        kernel_backend: str | None = None,
-    ) -> None:
-        if window <= 0:
-            raise ModelError("window must be positive")
+    def __init__(self, model: HiddenMarkovModel, window: int = 15) -> None:
         self.model = model
         self.window = window
-        self.kernel_backend = kernel_backend
-        self._backend = (
-            backends.resolve_backend(kernel_backend)
-            if kernel_backend is not None
-            else None
-        )
-        self.incremental = (
-            _incremental_default() if incremental is None else bool(incremental)
-        )
         self.events = 0
-        self._state: StreamingState | None = None
-        self._recent: deque[float] = deque(maxlen=window)
-        if self.incremental:
-            self._state = StreamingState(model, window)
-        else:
-            self._belief = model.initial.copy()
-            self._started = False
+        # Raises ModelError for a non-positive window.
+        self._state = StreamingState(model, window)
 
     @classmethod
-    def for_detector(
-        cls, detector, window: int = 15, kernel_backend: str | None = None
-    ) -> "StreamingScorer":
+    def for_detector(cls, detector, window: int = 15) -> "StreamingScorer":
         """A scorer over a fitted detector's model.
 
         The detection service opens one scorer per streaming session; this
@@ -138,7 +76,7 @@ class StreamingScorer:
                 f"{getattr(detector, 'name', detector)!r} exposes no HMM; "
                 "streaming sessions need an HMM-backed detector"
             )
-        return cls(model, window=window, kernel_backend=kernel_backend)
+        return cls(model, window=window)
 
     def observe(self, symbol: str) -> float:
         """Consume one symbol; returns its surprise (-log predictive prob).
@@ -146,46 +84,21 @@ class StreamingScorer:
         Higher surprise = less expected.  The belief state is updated in
         place, so consecutive calls score the whole history, not a window.
 
-        Telemetry (fast path): one ``hmm.forward.incremental.events``
-        count and one ``hmm.forward.incremental.surprise`` histogram
-        sample **per event** — batch entry points must not add their own
-        per-call samples, or percentile estimates skew toward batch
-        boundaries.  The legacy path stays uninstrumented: it is the
-        verbatim oracle.
+        Telemetry: one ``hmm.forward.incremental.events`` count and one
+        ``hmm.forward.incremental.surprise`` histogram sample **per
+        event** — batch entry points must not add their own per-call
+        samples, or percentile estimates skew toward batch boundaries.
         """
         index = self.model.encode_symbol(symbol)
-        state = self._state
-        if state is not None:
-            if self.kernel_backend is None:
-                surprise = streaming_step(self.model, state, index)
-            else:
-                # Pinned backend: dispatch through the held instance
-                # (no thread-local scope push/pop per event).
-                surprise = streaming_step_with(
-                    self._backend, self.model, state, index
-                )
-            self.events += 1
-            if telemetry.enabled():
-                telemetry.counter_add("hmm.forward.incremental.events")
-                telemetry.observe(
-                    "hmm.forward.incremental.surprise",
-                    surprise,
-                    boundaries=SURPRISE_BUCKETS,
-                )
-            return surprise
-        # -- verbatim legacy filter (the bit-exactness oracle) below.
-        if self._started:
-            predictive = self._belief @ self.model.transition
-        else:
-            predictive = self._belief
-            self._started = True
-        joint = predictive * self.model.emission[:, index]
-        total = float(joint.sum())
-        total = max(total, SCALE_FLOOR)
-        self._belief = joint / total
+        surprise = streaming_step(self.model, self._state, index)
         self.events += 1
-        surprise = -float(np.log(total))
-        self._recent.append(surprise)
+        if telemetry.enabled():
+            telemetry.counter_add("hmm.forward.incremental.events")
+            telemetry.observe(
+                "hmm.forward.incremental.surprise",
+                surprise,
+                boundaries=SURPRISE_BUCKETS,
+            )
         return surprise
 
     def observe_many(self, symbols) -> list[float]:
@@ -203,7 +116,7 @@ class StreamingScorer:
         the stream is chunked.
         """
         surprisals = [self.observe(symbol) for symbol in symbols]
-        if surprisals and self._state is not None and telemetry.enabled():
+        if surprisals and telemetry.enabled():
             telemetry.counter_add("hmm.forward.incremental.batches")
         return surprisals
 
@@ -211,31 +124,19 @@ class StreamingScorer:
     def windowed_score(self) -> float:
         """Mean negative surprise over the last ``window`` events — on the
         same higher-is-more-normal scale as :meth:`Detector.score`."""
-        state = self._state
-        if state is not None:
-            if state.count == 0:
-                raise ModelError("no events observed yet")
-            # streaming_recent materializes the ring in stream order, so
-            # np.mean reduces in exactly the order the legacy deque did.
-            return -float(np.mean(streaming_recent(state)))
-        if not self._recent:
+        if self._state.count == 0:
             raise ModelError("no events observed yet")
-        return -float(np.mean(self._recent))
+        # streaming_recent materializes the ring in stream order, so
+        # np.mean reduces in arrival order.
+        return -float(np.mean(streaming_recent(self._state)))
 
     @property
     def window_full(self) -> bool:
-        if self._state is not None:
-            return self._state.count >= self.window
-        return len(self._recent) == self.window
+        return self._state.count >= self.window
 
     def reset(self) -> None:
         """Restart the filter (process restart / context switch)."""
-        if self._state is not None:
-            streaming_reset(self.model, self._state)
-        else:
-            self._belief = self.model.initial.copy()
-            self._started = False
-            self._recent.clear()
+        streaming_reset(self.model, self._state)
         self.events = 0
 
     def rebind(self, model: HiddenMarkovModel) -> None:
@@ -246,17 +147,13 @@ class StreamingScorer:
         from the new model's initial distribution: the old posterior lives
         over the old model's hidden states, which a retrain renumbers or
         resizes, so carrying it over would be meaningless (or shape-wrong).
-        On the fast path this is :func:`~repro.hmm.kernels.streaming_rebind`
-        — the carried kernel state (belief, scratch, emission transpose)
-        is invalidated and rebuilt while the surprisal ring is kept.
+        This is :func:`~repro.hmm.kernels.streaming_rebind`: the carried
+        kernel state (belief, scratch, emission transpose) is invalidated
+        and rebuilt while the surprisal ring is kept.
         """
         if not isinstance(model, HiddenMarkovModel):
             raise ModelError(
                 f"rebind takes a HiddenMarkovModel, not {type(model).__name__}"
             )
         self.model = model
-        if self._state is not None:
-            streaming_rebind(model, self._state)
-        else:
-            self._belief = model.initial.copy()
-            self._started = False
+        streaming_rebind(model, self._state)

@@ -40,17 +40,6 @@ class EvaluationError(ReproError):
     """An experiment configuration or evaluation input is invalid."""
 
 
-class KernelBackendError(ReproError):
-    """A kernel backend was misnamed, or failed to build/load/verify.
-
-    Raised for *selection* mistakes (unknown backend name) and by
-    :mod:`repro.hmm.backends.compiled` internals when the toolchain,
-    library, or bit-identity probe fails — the registry converts the
-    latter into a warned fallback to the numpy backend, so callers only
-    ever see this for unknown names.
-    """
-
-
 class ServiceError(ReproError):
     """The detection service was misconfigured or misused.
 
@@ -58,11 +47,3 @@ class ServiceError(ReproError):
     across incompatible modes, or submitting after shutdown.
     """
 
-
-class ReproDeprecationWarning(DeprecationWarning):
-    """Deprecation warning for retired repro entry points.
-
-    A distinct subclass so the test suite (and CI) can turn *our* shims
-    into hard errors — ``-W error::repro.errors.ReproDeprecationWarning``
-    — without tripping on unrelated third-party deprecations.
-    """

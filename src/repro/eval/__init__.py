@@ -17,7 +17,6 @@ from .runners import (
     accuracy_grid,
     prepare_program,
     run_accuracy_comparison,
-    run_accuracy_grid,
     run_clustering_reduction,
     run_coverage_survey,
     run_exploit_detection,
@@ -54,7 +53,6 @@ __all__ = [
     "prepare_program",
     "render_table",
     "run_accuracy_comparison",
-    "run_accuracy_grid",
     "run_clustering_reduction",
     "run_coverage_survey",
     "run_exploit_detection",

@@ -8,7 +8,6 @@ results the benchmarks render next to the paper's numbers.
 from __future__ import annotations
 
 import time
-import warnings
 from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
@@ -27,7 +26,7 @@ from ..core.crossval import CrossValidationResult, cross_validate
 from ..core.metrics import CurvePoint, curve
 from ..core.registry import MODEL_NAMES, detector_spec, model_is_context_sensitive
 from ..core.thresholds import threshold_for_fp_budget
-from ..errors import EvaluationError, ReproDeprecationWarning
+from ..errors import EvaluationError
 from ..gadgets.context_filter import GadgetSurface, gadget_surface
 from ..gadgets.scanner import count_by_length, scan_gadgets
 from ..hmm.baumwelch import TrainingConfig, train
@@ -42,7 +41,7 @@ from ..program.program import Program
 from ..reduction.cluster import cluster_calls
 from ..runtime.cache import ArtifactCache
 from ..runtime.executor import ParallelExecutor
-from ..runtime.grid import GridAxis, GridResult, GridSpec, run_grid
+from ..runtime.grid import GridAxis, GridResult, GridSpec
 from ..reduction.initializer import initialize_hmm
 from ..tracing.segments import SegmentSet, build_segment_set, segment_symbols
 from ..tracing.workload import CoverageReport, WorkloadResult, run_workload
@@ -287,8 +286,8 @@ class AccuracyGridConfig:
 
     ``models`` rides along (despite also being an axis) because each
     model's detector seed offset is its position in the compared tuple —
-    the legacy ``run_accuracy_grid`` convention, preserved so grid cells
-    are bit-identical to the pre-grid code path.
+    the :func:`run_accuracy_comparison` convention, preserved so grid
+    cells are bit-identical to it.
     """
 
     kind: CallKind
@@ -360,38 +359,6 @@ def accuracy_comparisons(result: GridResult) -> dict[str, AccuracyComparison]:
         )
         comparison.results[point["model"]] = accuracy
     return comparisons
-
-
-def run_accuracy_grid(
-    program_names: tuple[str, ...],
-    kind: CallKind,
-    config: ExperimentConfig | None = None,
-    models: tuple[str, ...] = MODEL_NAMES,
-    executor: ParallelExecutor | None = None,
-    cache: ArtifactCache | None = None,
-) -> dict[str, AccuracyComparison]:
-    """Deprecated wrapper around :func:`accuracy_grid` + ``run_grid``.
-
-    .. deprecated:: 1.2
-        Build the spec with :func:`repro.api.accuracy_grid` and run it
-        with :func:`repro.api.run_grid`; shape the result with
-        :func:`accuracy_comparisons`.
-    """
-    warnings.warn(
-        "run_accuracy_grid() is deprecated; use repro.api.run_grid("
-        "repro.api.accuracy_grid(...)) and accuracy_comparisons()",
-        ReproDeprecationWarning,
-        stacklevel=2,
-    )
-    result = run_grid(
-        accuracy_grid(program_names, kind, config=config, models=models),
-        executor=executor,
-        cache=cache,
-    )
-    _merge_cell_cache_stats(
-        cache, executor or ParallelExecutor(jobs=1), list(result.cells)
-    )
-    return accuracy_comparisons(result)
 
 
 # ---------------------------------------------------------------------------

@@ -34,8 +34,8 @@ Three things live here:
   (belief) state is carried across events in preallocated buffers and a
   ring buffer keeps the last ``window`` per-step log scale factors, so a
   sliding W-call surprisal costs one belief update per event instead of
-  re-running the W-step recursion.  Bit-identical to replaying the
-  unfused filter (``StreamingScorer``'s verbatim legacy path) — pinned by
+  re-running the W-step recursion.  Bit-identical to the unfused
+  allocating filter it replaced, which lives on only as a reference in
   ``tests/test_streaming_incremental.py`` and the exit-1 gate in
   ``benchmarks/bench_streaming_forward.py``.
 * :func:`score_fleet` / :func:`log_likelihood_fleet` — cross-detector
@@ -85,7 +85,6 @@ import numpy as np
 
 from .. import telemetry
 from ..errors import ModelError
-from . import backends
 from .model import HiddenMarkovModel
 
 #: Floor applied to per-step normalizers so a zero-probability observation
@@ -134,7 +133,6 @@ __all__ = [
     "streaming_recent",
     "streaming_reset",
     "streaming_step",
-    "streaming_step_with",
 ]
 
 
@@ -174,24 +172,8 @@ def score_sequences(
     It never materializes the (B, T, N) forward variables — each tile
     walks the recursion with a (tile, N) working set written in place.
 
-    Dispatch seam: if a non-default kernel backend is active (see
-    :mod:`repro.hmm.backends`) and accepts the call, its — probed
-    bit-identical — result is returned; otherwise the numpy path runs.
-
     ``obs`` must already be validated (see :func:`check_obs`).
     """
-    backend = backends.active_backend()
-    if backend.dispatches:
-        out = backend.score_sequences(model, obs, tile)
-        if out is not None:
-            return out
-    return _score_sequences_numpy(model, obs, tile)
-
-
-def _score_sequences_numpy(
-    model: HiddenMarkovModel, obs: np.ndarray, tile: int = SCORE_TILE
-) -> np.ndarray:
-    """The numpy batch scorer — also the compiled backend's oracle."""
     batch, length = obs.shape
     out = np.empty(batch)
     if batch == 0 or length == 0:
@@ -391,24 +373,6 @@ def score_fleet(
             raise ModelError("score_fleet batches must be non-empty")
     if length == 0:
         return [np.zeros(obs.shape[0]) for obs in obs_list]
-    backend = backends.active_backend()
-    if backend.dispatches:
-        out = backend.score_fleet(models, obs_list)
-        if out is not None:
-            return out
-    return _score_fleet_numpy(models, obs_list)
-
-
-def _score_fleet_numpy(
-    models: "list[HiddenMarkovModel]", obs_list: "list[np.ndarray]"
-) -> "list[np.ndarray]":
-    """The numpy fleet contraction — also the compiled backend's oracle.
-
-    Inputs must already satisfy :func:`score_fleet`'s validation (same
-    shape, shared non-zero length, non-empty batches).
-    """
-    n = models[0].n_states
-    length = obs_list[0].shape[1]
     fleet = len(models)
     batches = [obs.shape[0] for obs in obs_list]
     height = -(-max(batches) // FLEET_GEMM_UNIT) * FLEET_GEMM_UNIT
@@ -523,7 +487,6 @@ class StreamingState:
         "predictive",
         "joint",
         "ordered",
-        "backend_ctx",
     )
 
     def __init__(self, model: HiddenMarkovModel, window: int) -> None:
@@ -540,9 +503,6 @@ class StreamingState:
         self.predictive = np.empty(n)
         self.joint = np.empty(n)
         self.ordered = np.empty(self.window)
-        #: Opaque per-backend cache (e.g. the compiled backend's pointer
-        #: pack); invalidated by reset/rebind and on model/buffer change.
-        self.backend_ctx = None
 
 
 def streaming_step(
@@ -552,47 +512,13 @@ def streaming_step(
 
     One belief update — a (N,)@(N, N) product, an elementwise emission
     gather/multiply, one normalization — written into ``state``'s
-    preallocated buffers.  Operation order matches the unfused
-    ``StreamingScorer`` filter exactly (``@`` *is* ``np.matmul``; the
-    emission row is the same values as the strided column slice), so the
-    returned surprisals and the carried belief are bit-identical to the
-    legacy path.
-
-    Dispatch seam: an active non-default backend (see
-    :mod:`repro.hmm.backends`) may serve the step — with identical state
-    bookkeeping and probed bit-identical results — before the numpy
-    path runs.
+    preallocated buffers.  Operation order matches the unfused allocating
+    filter exactly (``@`` *is* ``np.matmul``; the emission row is the same
+    values as the strided column slice), so the returned surprisals and
+    the carried belief are bit-identical to it — the reference kept in
+    ``tests/test_streaming_incremental.py`` and
+    ``benchmarks/bench_streaming_forward.py``.
     """
-    backend = backends.active_backend()
-    if backend.dispatches:
-        out = backend.streaming_step(model, state, index)
-        if out is not None:
-            return out
-    return _streaming_step_numpy(model, state, index)
-
-
-def streaming_step_with(
-    backend, model: HiddenMarkovModel, state: StreamingState, index: int
-) -> float:
-    """:func:`streaming_step` under an *explicit* backend.
-
-    The per-event entry point for callers that carry their own backend
-    choice (``StreamingScorer(kernel_backend=...)``): dispatching through
-    a held backend instance skips the thread-local scope push/pop that
-    :func:`~repro.hmm.backends.backend_scope` would cost per event.
-    ``backend=None`` means "plain numpy", bypassing the ambient scope.
-    """
-    if backend is not None and backend.dispatches:
-        out = backend.streaming_step(model, state, index)
-        if out is not None:
-            return out
-    return _streaming_step_numpy(model, state, index)
-
-
-def _streaming_step_numpy(
-    model: HiddenMarkovModel, state: StreamingState, index: int
-) -> float:
-    """The numpy streaming step — also the compiled backend's oracle."""
     if state.started:
         np.matmul(state.belief, model.transition, out=state.predictive)
         predictive = state.predictive
@@ -616,8 +542,8 @@ def streaming_recent(state: StreamingState) -> np.ndarray:
     """The last ``min(count, window)`` surprisals, oldest first.
 
     Stream order matters for bit-identity: ``np.mean`` reduces pairwise in
-    element order, and the legacy path's deque holds the surprisals in
-    arrival order.  Before the ring wraps this is a contiguous prefix
+    element order, and the reference filter's deque holds the surprisals
+    in arrival order.  Before the ring wraps this is a contiguous prefix
     view; after wraparound the two ring halves are copied (oldest half
     first) into the preallocated ``ordered`` buffer — O(window) scalar
     copies, no allocation.
@@ -638,7 +564,6 @@ def streaming_reset(model: HiddenMarkovModel, state: StreamingState) -> None:
     state.started = False
     state.count = 0
     state.pos = 0
-    state.backend_ctx = None
 
 
 def streaming_rebind(model: HiddenMarkovModel, state: StreamingState) -> None:
@@ -658,7 +583,6 @@ def streaming_rebind(model: HiddenMarkovModel, state: StreamingState) -> None:
     np.copyto(state.belief, model.initial)
     state.started = False
     state.emission_t = np.ascontiguousarray(model.emission.T)
-    state.backend_ctx = None
 
 
 # ---------------------------------------------------------------------------

@@ -44,17 +44,6 @@ class ServiceConfig:
             bit-identical to per-lane drains either way; ``False`` keeps
             the one-GEMM-sequence-per-detector behavior.  Sharded services
             inherit the flag per worker (the config travels whole).
-        kernel_backend: named kernel backend
-            (:mod:`repro.hmm.backends`) the drain paths score under —
-            ``"numpy"`` (default behavior), ``"compiled"``, or any
-            registered name.  ``None`` defers to the process default
-            (``REPRO_KERNEL_BACKEND`` env, else numpy).  Selection is
-            scoped to this service's drains, so two services in one
-            process can run different backends; an unavailable-but-known
-            backend degrades to numpy at service construction with a
-            one-time ``RuntimeWarning`` (scores are bit-identical either
-            way — the compiled backend is probe-gated).  Sharded services
-            inherit the name per worker.
     """
 
     max_batch: int = 256
@@ -63,7 +52,6 @@ class ServiceConfig:
     latency_budget_s: float | None = None
     default_window: int = DEFAULT_SEGMENT_LENGTH
     cross_detector_batching: bool = True
-    kernel_backend: str | None = None
 
     def __post_init__(self) -> None:
         if self.max_batch <= 0:
@@ -74,14 +62,6 @@ class ServiceConfig:
             raise ServiceError("latency_budget_s must be positive (or None)")
         if self.default_window <= 0:
             raise ServiceError("default_window must be positive")
-        if self.kernel_backend is not None:
-            from ..hmm import backends
-
-            if self.kernel_backend not in backends.available_backends():
-                raise ServiceError(
-                    f"unknown kernel_backend {self.kernel_backend!r}; "
-                    f"available: {', '.join(backends.available_backends())}"
-                )
 
 
 @dataclass(frozen=True)

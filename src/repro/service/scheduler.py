@@ -45,7 +45,6 @@ code path strands a ticket.
 from __future__ import annotations
 
 from collections import deque
-from contextlib import nullcontext
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -53,7 +52,6 @@ import numpy as np
 from .. import telemetry
 from ..core.detector import Detector
 from ..errors import ModelError
-from ..hmm import backends
 from ..hmm.forward import log_likelihood_ragged
 from ..hmm.kernels import log_likelihood_fleet, log_likelihood_unique
 from .config import AdmissionPolicy, ServiceConfig
@@ -181,21 +179,6 @@ class MicroBatchScheduler:
     def __init__(self, config: ServiceConfig, clock) -> None:
         self.config = config
         self.clock = clock
-        # Resolve the configured kernel backend eagerly: an unavailable
-        # toolchain warns once at service construction, not mid-drain.
-        if config.kernel_backend is not None:
-            backends.resolve_backend(config.kernel_backend)
-
-    def _backend_scope(self):
-        """The kernel-backend scope every drain's scoring runs under.
-
-        ``None`` (the default) defers to the process default without
-        touching the thread-local scope stack, so per-drain overhead in
-        the default configuration is one attribute check.
-        """
-        if self.config.kernel_backend is None:
-            return nullcontext()
-        return backends.backend_scope(self.config.kernel_backend)
 
     def drain(self, lane: DetectorLane, stats) -> int:
         """Process up to ``max_batch`` queued requests of one lane.
@@ -221,8 +204,7 @@ class MicroBatchScheduler:
             taken.append(lane.queue.popleft())
 
         try:
-            with self._backend_scope():
-                return self._process(lane, taken, now, stats)
+            return self._process(lane, taken, now, stats)
         except Exception as exc:
             for request in taken:
                 if not request.ticket.done():
@@ -269,8 +251,7 @@ class MicroBatchScheduler:
         if not popped:
             return 0
         try:
-            with self._backend_scope():
-                return self._process_many(popped, now, stats)
+            return self._process_many(popped, now, stats)
         except Exception as exc:
             for lane, taken in popped:
                 for request in taken:

@@ -1,4 +1,4 @@
-"""Tests for the ``repro.api`` facade and its deprecation shims."""
+"""Tests for the ``repro.api`` facade."""
 
 from __future__ import annotations
 
@@ -9,12 +9,7 @@ import repro
 from repro import api
 from repro.core.metrics import rates_at_threshold
 from repro.core.monitor import OnlineMonitor
-from repro.errors import (
-    EvaluationError,
-    ModelError,
-    NotFittedError,
-    ReproDeprecationWarning,
-)
+from repro.errors import EvaluationError, ModelError, NotFittedError
 from repro.hmm import random_model, save_model
 from repro.program import CallKind
 from repro.tracing import build_segment_set, segment_symbols
@@ -160,27 +155,6 @@ class TestLoadPretrained:
     def test_rejects_other_sources(self):
         with pytest.raises(ModelError, match="path or HiddenMarkovModel"):
             api.load_pretrained(1234)
-
-
-class TestDeprecationShims:
-    def test_make_detector_warns_and_forwards(self, gzip_program):
-        from repro.core import make_detector
-
-        with pytest.warns(ReproDeprecationWarning, match="build_detector"):
-            detector = make_detector("stilo", gzip_program, CallKind.SYSCALL)
-        assert detector.name == "stilo"
-
-    def test_detector_factory_warns_and_forwards(self, gzip_program):
-        from repro.core import detector_factory
-
-        with pytest.warns(ReproDeprecationWarning, match="detector_spec"):
-            spec = detector_factory("stilo", gzip_program, CallKind.SYSCALL)
-        assert isinstance(spec, api.DetectorSpec)
-
-    def test_shim_warning_is_a_deprecation_warning(self):
-        # So `-W error::repro.errors.ReproDeprecationWarning` (pinned in
-        # pyproject) catches first-party use without muting third parties.
-        assert issubclass(ReproDeprecationWarning, DeprecationWarning)
 
 
 class TestRootReexports:

@@ -28,7 +28,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.api import load_pretrained
-from repro.errors import EvaluationError, ReproDeprecationWarning, ServiceError
+from repro.errors import EvaluationError, ServiceError
 from repro.hmm import random_model
 from repro.robustness import (
     ATTACK_FAMILIES,
@@ -38,12 +38,7 @@ from repro.robustness import (
     open_robustness_grid,
     robustness_grid,
 )
-from repro.robustness.corpus import (
-    build_corpus,
-    load_corpus,
-    render_report,
-    write_corpus,
-)
+from repro.robustness.corpus import build_corpus, load_corpus, write_corpus
 from repro.runtime import ArtifactCache
 from repro.service import Absorbed, DetectionService, Scored, ServiceConfig
 
@@ -341,33 +336,6 @@ class TestCli:
 
         with pytest.raises(SystemExit):
             build_parser().parse_args(["robustness", "--attacks", "rowhammer"])
-
-
-class TestDeprecatedAccuracyShim:
-    def test_run_accuracy_grid_warns_and_matches(self, tmp_path):
-        from repro.eval import FAST_CONFIG, run_accuracy_grid
-        from repro.eval.runners import accuracy_comparisons, accuracy_grid
-        from repro.program import CallKind
-        from repro.runtime import run_grid
-
-        cache = ArtifactCache(tmp_path)
-        spec = accuracy_grid(
-            ("gzip",), CallKind.SYSCALL, FAST_CONFIG, models=("regular-basic",)
-        )
-        direct = accuracy_comparisons(run_grid(spec, cache=cache))
-        with pytest.warns(ReproDeprecationWarning, match="run_accuracy_grid"):
-            legacy = run_accuracy_grid(
-                ("gzip",),
-                CallKind.SYSCALL,
-                FAST_CONFIG,
-                models=("regular-basic",),
-                cache=cache,
-            )
-        assert set(legacy) == set(direct) == {"gzip"}
-        assert (
-            legacy["gzip"].results["regular-basic"].auc
-            == direct["gzip"].results["regular-basic"].auc
-        )
 
 
 @pytest.mark.stress

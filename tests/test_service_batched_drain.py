@@ -22,7 +22,6 @@ from hypothesis import strategies as st
 
 from repro import telemetry
 from repro.api import load_pretrained
-from repro.errors import ModelError
 from repro.hmm import HiddenMarkovModel, random_model
 from repro.service import (
     DetectionService,
