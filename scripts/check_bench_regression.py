@@ -72,11 +72,14 @@ THROUGHPUT_METRICS: dict[str, tuple[str, ...]] = {
     "gateway": (
         "gateway.requests_per_s",
     ),
+    # Absolute floors only: both speedups divide by a path that runs the
+    # one scoring kernel (the per-event recompute, the per-lane drains),
+    # so a faster kernel shrinks the ratios without any regression.
     "streaming_forward": (
+        "streaming.recompute_events_per_s",
         "streaming.incremental_events_per_s",
-        "streaming.speedup",
+        "fleet_drain.per_lane_windows_per_s",
         "fleet_drain.fused_windows_per_s",
-        "fleet_drain.speedup",
     ),
     "robustness_grid": (
         "grid.cells_per_s",

@@ -10,7 +10,6 @@ from .forward import (
     backward,
     forward,
     log_likelihood,
-    log_likelihood_ragged,
     log_likelihood_unique,
     posterior_states,
 )
@@ -40,7 +39,6 @@ __all__ = [
     "forward",
     "load_model",
     "log_likelihood",
-    "log_likelihood_ragged",
     "log_likelihood_unique",
     "most_suspicious_positions",
     "posterior_states",

@@ -5,7 +5,7 @@ already-validated integer observation arrays and writes into preallocated
 buffers.  :mod:`repro.hmm.forward` and :mod:`repro.hmm.baumwelch` build the
 public API on top of it.
 
-Three things live here:
+Four things live here:
 
 * :class:`EMWorkspace` + :func:`em_forward`/:func:`em_update` — the
   Baum-Welch E-step split into a forward phase and an update phase.  Every
@@ -15,18 +15,21 @@ Three things live here:
   across iterations via ``out=``-style writes.  The forward phase returns
   the weighted mean training log-likelihood as a by-product, so the train
   loop never needs a separate monitoring pass over the training set.
-* :func:`score_sequences` — a tiled, scales-only forward pass for bulk
-  scoring.  It keeps only a (tile, N) working set instead of materializing
-  the full (B, T, N) forward variables, and is **batch-invariant**: every
-  matmul runs at a fixed (tile, N) shape (partial tiles are padded), so a
-  row's score is a pure function of the row's content — scoring any subset
-  of a batch is bit-identical to scoring the full batch.
-* :func:`log_likelihood_unique` — duplicate-aware scoring: hash rows,
+* :func:`score_stacked` — the one bulk-scoring kernel: a scales-only
+  forward pass over one batch per model.  Every model's rows are cut into
+  :data:`SCORE_TILE`-row slices and the slices of all models are stacked,
+  so each timestep is one batched 3-D matmul in which every slice is a
+  ``(SCORE_TILE, N) @ (N, N)`` product.  One GEMM shape for every scoring
+  call makes it **batch-invariant**: a row's score is a pure function of
+  the row and its model, so a lone row, a subset, one model's batch and
+  a many-model service drain all score the same bits.
+* :func:`log_likelihood_stacked` (and its one-model form
+  :func:`log_likelihood_unique`) — duplicate-aware scoring: hash rows,
   score each distinct window once, scatter the results back through the
   inverse index.  Sliding windows over repetitive call streams (the eval
   runners' exploit windows, the service's drain batches) are often mostly
   duplicates, so this multiplies bulk-scoring throughput on top of the
-  tiled kernel.  Telemetry stays multiplicity-weighted: the scattered
+  kernel.  Telemetry stays multiplicity-weighted: the scattered
   (full-batch) scores land in the ``hmm.forward.loglik`` histogram, not
   just the unique ones.
 * :class:`StreamingState` + :func:`streaming_step` — the incremental
@@ -38,12 +41,6 @@ Three things live here:
   allocating filter it replaced, which lives on only as a reference in
   ``tests/test_streaming_incremental.py`` and the exit-1 gate in
   ``benchmarks/bench_streaming_forward.py``.
-* :func:`score_fleet` / :func:`log_likelihood_fleet` — cross-detector
-  batched scoring for the service drain: same-shape (N, M) detectors'
-  transition/emission tensors are stacked into (D, ·, ·) operands and the
-  whole fleet's windows walk the recursion through batched 3-D matmuls —
-  a handful of kernel launches per drain instead of one GEMM sequence per
-  detector, bit-identical per row to :func:`score_sequences`.
 
 Bit-identity notes (the contracts ``tests/test_kernels.py`` pins):
 
@@ -63,20 +60,13 @@ Bit-identity notes (the contracts ``tests/test_kernels.py`` pins):
 * BLAS GEMM results are only reproducible per-row at a *fixed* operand
   shape: a single row dispatches to gemv, odd row counts trigger edge
   micro-kernels for some N (observed at N mod 8 in {1, 2, 3}, N ≥ 17),
-  and different size regimes pick different blockings — all with
-  last-bit differences.  The scoring kernel therefore pins its GEMM
-  height (see :func:`score_sequences`); the EM kernels are compared
-  against a reference with identical operand shapes and layouts.
-* Per-row GEMM results *are* stable across heights once the height is a
-  multiple of :data:`FLEET_GEMM_UNIT` (= 8): measured over N in 2..64,
-  ``(X @ A)[:h]`` differs from ``X[:h] @ A`` only at h in {1, 2, 3, 5}
-  (gemv and the odd-row edge kernels above), and a batched 3-D
-  ``np.matmul`` is bit-identical per (H, N) slice to the 2-D call.  That
-  is what lets :func:`score_fleet` pad each drain's slice height to a
-  multiple of 8 instead of :data:`SCORE_TILE` and stay bit-identical to
-  the 512-row tiles — the property is re-verified at runtime by the
-  bench's exit-1 gate and the differential suites, so a BLAS that
-  breaks it fails loudly instead of scoring differently.
+  and different heights pick different blockings — 8-row and 512-row
+  GEMMs already disagree in the last bits at N = 49-60 on OpenBLAS.  So
+  the scoring kernel never varies the height: every slice is exactly
+  :data:`SCORE_TILE` rows, and a batched 3-D ``np.matmul`` issues one
+  GEMM per slice, bit-identical to the 2-D call on that slice.  The EM
+  kernels are compared against a reference with identical operand shapes
+  and layouts.
 """
 
 from __future__ import annotations
@@ -98,26 +88,25 @@ LOGLIK_BUCKETS: tuple[float, ...] = (
     -20.0, -15.0, -10.0, -7.5, -5.0, -2.5, -1.0, 0.0,
 )
 
-#: Rows per tile in :func:`score_sequences`.  Chosen so one tile's working
-#: set (a few (tile, N) float panels) stays cache-resident; per-row results
-#: are independent of the tile size.
-SCORE_TILE = 512
+#: Rows per GEMM slice in :func:`score_stacked`: every scoring matmul is a
+#: (SCORE_TILE, N) @ (N, N) product.  Small, so a lone service lane pays
+#: for few padding rows.  Batch size never moves a score; changing this
+#: constant may, in the last bits.
+SCORE_TILE = 32
 
-#: Fixed seed for the row-hash multipliers in :func:`log_likelihood_unique`
+#: Rows of stacked slices :func:`score_stacked` walks at a time, which
+#: bounds its working set to a few (SCORE_CHUNK, N) panels.
+SCORE_CHUNK = 512
+
+#: Fixed seed for the row-hash multipliers in :func:`log_likelihood_stacked`
 #: — deterministic across processes, so serial and parallel runs dedup (and
 #: therefore score) identically.
 _DEDUP_SEED = 0x5EED_CA11
 
-#: GEMM heights that are a multiple of this are per-row bit-identical to
-#: any other multiple (including :data:`SCORE_TILE`) on the BLAS builds we
-#: target — see the module docstring.  :func:`score_fleet` pads its slice
-#: height up to this unit.
-FLEET_GEMM_UNIT = 8
-
 __all__ = [
-    "FLEET_GEMM_UNIT",
     "LOGLIK_BUCKETS",
     "SCALE_FLOOR",
+    "SCORE_CHUNK",
     "SCORE_TILE",
     "EMWorkspace",
     "StreamingState",
@@ -125,10 +114,9 @@ __all__ = [
     "em_forward",
     "em_step",
     "em_update",
-    "log_likelihood_fleet",
+    "log_likelihood_stacked",
     "log_likelihood_unique",
-    "score_fleet",
-    "score_sequences",
+    "score_stacked",
     "streaming_rebind",
     "streaming_recent",
     "streaming_reset",
@@ -153,71 +141,106 @@ def check_obs(model: HiddenMarkovModel, obs: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def score_sequences(
-    model: HiddenMarkovModel, obs: np.ndarray, tile: int = SCORE_TILE
-) -> np.ndarray:
-    """Per-sequence ``log P(O | λ)`` via a tiled, scales-only forward pass.
+def score_stacked(
+    models: "list[HiddenMarkovModel]", obs_list: "list[np.ndarray]"
+) -> "list[np.ndarray]":
+    """Per-sequence ``log P(O | λ_d)`` for one batch per model, in one pass.
 
-    Every row's score is a pure function of that row's content: the
-    recursion runs in tiles of *exactly* ``tile`` rows — a partial final
-    tile is padded with throwaway rows — so every matmul the kernel issues
-    has the same (tile, N) shape no matter how large the batch is.  BLAS
-    GEMM results are only reproducible per-row when the operand shapes
-    match (a gemv-dispatched single row, or the odd-row edge kernels some
-    N trigger, accumulate in a different order), so the fixed tile height
-    is what makes scoring *batch-invariant*: scoring a subset of rows is
-    bit-identical to scoring them inside any larger batch.
-    :func:`log_likelihood_unique` relies on exactly this property.
+    The scales-only forward recursion for every bulk-scoring caller.  Each
+    model's rows are cut into :data:`SCORE_TILE`-row slices (the last one
+    padded with symbol-0 rows whose scores are discarded), the slices of
+    every model are stacked, and each timestep is one 3-D ``np.matmul`` in
+    which every slice is a ``(SCORE_TILE, N) @ (N, N)`` product against its
+    own model's transition matrix.  The stack is walked
+    :data:`SCORE_CHUNK` rows at a time, so the working set stays bounded
+    and the (B, T, N) forward variables are never materialized.
 
-    It never materializes the (B, T, N) forward variables — each tile
-    walks the recursion with a (tile, N) working set written in place.
+    Every scoring GEMM therefore has one shape, whatever the batch size,
+    the row's position in it, or the other models in the call: a row's
+    score is a pure function of the row and its model.  Scoring a subset,
+    a single row, or one model's batch alone is bit-identical to scoring
+    it inside any larger stack — what :func:`log_likelihood_stacked`'s
+    dedup and the service's cross-lane drain rely on.
 
-    ``obs`` must already be validated (see :func:`check_obs`).
+    Args:
+        models: models sharing one state count ``N``.
+        obs_list: one validated (B_d, T) int array per model (see
+            :func:`check_obs`), all of one length ``T``; ``B_d`` may be 0.
+
+    Returns:
+        One (B_d,) score array per model, aligned with ``models``.
     """
-    batch, length = obs.shape
-    out = np.empty(batch)
-    if batch == 0 or length == 0:
-        out[:] = 0.0
-        return out
-    emission_t = np.ascontiguousarray(model.emission.T)  # (M, N)
-    initial = model.initial[None, :]
-    transition = model.transition
-    n = model.n_states
-    tile = max(int(tile), 1)
-    alpha = np.empty((tile, n))
-    product = np.empty((tile, n))
-    gather = np.empty((tile, n))
-    scales = np.empty((tile, length))
-    padded: np.ndarray | None = None
-    for start in range(0, batch, tile):
-        stop = min(start + tile, batch)
-        rows = stop - start
-        if rows == tile:
-            block = obs[start:stop]
-        else:
-            # Partial tile: pad with symbol-0 rows so the GEMM height stays
-            # fixed; the padding's scores are computed and discarded.
-            if padded is None:
-                padded = np.zeros((tile, length), dtype=obs.dtype)
-            padded[:rows] = obs[start:stop]
-            padded[rows:] = 0
-            block = padded
-        np.take(emission_t, block[:, 0], axis=0, out=gather)
-        np.multiply(initial, gather, out=alpha)
-        norm = scales[:, 0]
-        np.sum(alpha, axis=1, out=norm)
+    if not models or len(models) != len(obs_list):
+        raise ModelError("stacked scoring needs one observation batch per model")
+    n = models[0].n_states
+    length = obs_list[0].shape[1]
+    if any(model.n_states != n for model in models) or any(
+        obs.shape[1] != length for obs in obs_list
+    ):
+        raise ModelError(
+            "stacked scoring needs one state count and one window length"
+        )
+    batches = [obs.shape[0] for obs in obs_list]
+    slices = [-(-batch // SCORE_TILE) for batch in batches]
+    total = sum(slices)
+    if total == 0 or length == 0:
+        return [np.zeros(batch) for batch in batches]
+    owner = np.repeat(np.arange(len(models)), slices)
+    # Rows index the models' concatenated emission columns, so one gather
+    # serves the whole stack; the index is laid out timestep-major.
+    emission = np.concatenate(
+        [np.ascontiguousarray(model.emission.T) for model in models]
+    )
+    initial = np.stack([model.initial for model in models])[:, None, :]
+    transition = (
+        models[0].transition
+        if len(models) == 1
+        else np.stack([model.transition for model in models])
+    )
+    index = np.zeros((total * SCORE_TILE, length), dtype=np.int64)
+    row = base = 0
+    for model, obs, count in zip(models, obs_list, slices):
+        index[row : row + obs.shape[0]] = obs
+        index[row : row + count * SCORE_TILE] += base
+        row += count * SCORE_TILE
+        base += model.n_symbols
+    index = np.ascontiguousarray(index.T).reshape(length, total, SCORE_TILE)
+
+    # Indices are validated, so take() runs in "clip" mode, which writes
+    # straight into ``out`` instead of buffering like the default mode.
+    width = min(SCORE_CHUNK // SCORE_TILE, total)
+    alpha = np.empty((width, SCORE_TILE, n))
+    product = np.empty((width, SCORE_TILE, n))
+    gather = np.empty((width, SCORE_TILE, n))
+    scales = np.empty((width, SCORE_TILE, length))
+    loglik = np.empty((total, SCORE_TILE))
+    for first in range(0, total, width):
+        last = min(first + width, total)
+        owners = owner[first:last]
+        step = transition if transition.ndim == 2 else transition[owners]
+        a, p, g, s = (buf[: last - first] for buf in (alpha, product, gather, scales))
+        np.take(emission, index[0, first:last], axis=0, out=g, mode="clip")
+        np.multiply(initial[owners], g, out=a)
+        norm = s[:, :, 0]
+        np.sum(a, axis=2, out=norm)
         np.maximum(norm, SCALE_FLOOR, out=norm)
-        alpha /= norm[:, None]
+        a /= norm[:, :, None]
         for t in range(1, length):
-            np.matmul(alpha, transition, out=product)
-            np.take(emission_t, block[:, t], axis=0, out=gather)
-            np.multiply(product, gather, out=alpha)
-            norm = scales[:, t]
-            np.sum(alpha, axis=1, out=norm)
+            np.matmul(a, step, out=p)
+            np.take(emission, index[t, first:last], axis=0, out=g, mode="clip")
+            np.multiply(p, g, out=a)
+            norm = s[:, :, t]
+            np.sum(a, axis=2, out=norm)
             np.maximum(norm, SCALE_FLOOR, out=norm)
-            alpha /= norm[:, None]
-        np.log(scales, out=scales)
-        np.sum(scales[:rows], axis=1, out=out[start:stop])
+            a /= norm[:, :, None]
+        np.log(s, out=s)
+        np.sum(s, axis=2, out=loglik[first:last])
+    loglik = loglik.reshape(-1)
+    out = []
+    row = 0
+    for batch, count in zip(batches, slices):
+        out.append(loglik[row : row + batch])
+        row += count * SCORE_TILE
     return out
 
 
@@ -270,183 +293,56 @@ def _dedup_rows(obs: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
     return unique_rows, inverse
 
 
-def _record_score_telemetry(
-    loglik: np.ndarray, batch: int, n_unique: int
-) -> None:
-    """Duplicate-aware scoring telemetry for one scored batch.
+def log_likelihood_stacked(
+    models: "list[HiddenMarkovModel]", obs_list: "list[np.ndarray]"
+) -> "list[np.ndarray]":
+    """Duplicate-aware ``log P(O | λ_d)`` for one batch per model.
 
-    Shared by :func:`log_likelihood_unique` and (per fleet entry)
-    :func:`log_likelihood_fleet`, so the fused cross-detector drain emits
-    exactly the counters the per-detector path would have.
+    Validates each batch, hashes its rows (:func:`_dedup_rows`), scores
+    every model's *distinct* rows in one :func:`score_stacked` call, and
+    scatters the results back through the inverse indices.  The kernel is
+    batch-invariant, so the scattered scores are bit-identical to scoring
+    every row — duplicates just stop paying for the recursion more than
+    once — and each model's scores do not depend on the other models in
+    the call.
+
+    Telemetry is recorded per model and stays multiplicity-weighted: the
+    *scattered* scores land in the ``hmm.forward.loglik`` histogram and
+    the ``hmm.forward.sequences`` counter, exactly as if every row had
+    been scored; ``hmm.score.unique_ratio`` reports how much of the batch
+    was distinct (1.0 = no duplicates).
     """
-    telemetry.counter_add("hmm.forward.calls")
-    telemetry.counter_add("hmm.forward.sequences", batch)
-    telemetry.observe_many(
-        "hmm.forward.loglik", loglik.tolist(), boundaries=LOGLIK_BUCKETS
+    checked = [check_obs(model, obs) for model, obs in zip(models, obs_list)]
+    dedups = [_dedup_rows(obs) for obs in checked]
+    scored = score_stacked(
+        models,
+        [obs if dedup is None else dedup[0] for obs, dedup in zip(checked, dedups)],
     )
-    telemetry.counter_add("hmm.score.dedup.calls")
-    telemetry.counter_add("hmm.score.dedup.sequences", batch)
-    telemetry.counter_add("hmm.score.dedup.unique", int(n_unique))
-    if batch:
-        telemetry.gauge_set("hmm.score.unique_ratio", n_unique / batch)
+    out: list[np.ndarray] = []
+    for obs, dedup, scores in zip(checked, dedups, scored):
+        loglik = scores if dedup is None else scores[dedup[1]]
+        if telemetry.enabled():
+            batch, n_unique = int(obs.shape[0]), int(scores.shape[0])
+            telemetry.counter_add("hmm.forward.calls")
+            telemetry.counter_add("hmm.forward.sequences", batch)
+            telemetry.observe_many(
+                "hmm.forward.loglik", loglik.tolist(), boundaries=LOGLIK_BUCKETS
+            )
+            telemetry.counter_add("hmm.score.dedup.calls")
+            telemetry.counter_add("hmm.score.dedup.sequences", batch)
+            telemetry.counter_add("hmm.score.dedup.unique", n_unique)
+            if batch:
+                telemetry.gauge_set("hmm.score.unique_ratio", n_unique / batch)
+        out.append(loglik)
+    return out
 
 
 def log_likelihood_unique(
     model: HiddenMarkovModel, obs: np.ndarray
 ) -> np.ndarray:
-    """Duplicate-aware ``log P(O | λ)``, bit-identical to plain scoring.
-
-    Hashes rows, scores each distinct window once with
-    :func:`score_sequences`, and scatters the result back through the
-    inverse index.  Because the scoring kernel is batch-invariant (fixed
-    GEMM height; a row's score depends only on the row's content), the
-    scattered scores are bit-identical to scoring the full batch —
-    duplicates just stop paying for the recursion more than once.
-
-    Telemetry stays multiplicity-weighted: the *scattered* per-sequence
-    scores land in the ``hmm.forward.loglik`` histogram and the
-    ``hmm.forward.sequences`` counter, exactly as if every row had been
-    scored; ``hmm.score.unique_ratio`` reports how much of the batch was
-    distinct (1.0 = no duplicates).
-    """
-    obs = check_obs(model, obs)
-    dedup = _dedup_rows(obs)
-    if dedup is None:
-        loglik = score_sequences(model, obs)
-        n_unique = obs.shape[0]
-    else:
-        unique_rows, inverse = dedup
-        loglik = score_sequences(model, unique_rows)[inverse]
-        n_unique = unique_rows.shape[0]
-    if telemetry.enabled():
-        _record_score_telemetry(loglik, int(obs.shape[0]), n_unique)
-    return loglik
-
-
-# ---------------------------------------------------------------------------
-# Cross-detector (fleet) batched scoring
-# ---------------------------------------------------------------------------
-
-
-def score_fleet(
-    models: "list[HiddenMarkovModel]", obs_list: "list[np.ndarray]"
-) -> "list[np.ndarray]":
-    """Per-sequence ``log P(O | λ_d)`` for many same-shape models at once.
-
-    The service's fused drain path: instead of walking the scaled forward
-    recursion once per detector (D separate (tile, N) GEMM sequences), the
-    fleet's transition/emission tensors are stacked into (D, N, N) /
-    (D, M, N) operands and every timestep is **one** batched 3-D
-    ``np.matmul`` over a (D, H, N) working set — a handful of kernel
-    launches per drain, regardless of fleet size.
-
-    Bit-identity with :func:`score_sequences` (and therefore with the
-    per-detector drain) rests on the height-invariance property in the
-    module docstring: each model's rows sit in a (H, N) slice whose height
-    H is the fleet's max batch padded up to a multiple of
-    :data:`FLEET_GEMM_UNIT`, and per-slice batched-matmul results equal
-    the 2-D calls the tiled kernel issues.  ``tests/test_kernels.py`` and
-    the exit-1 gate in ``benchmarks/bench_streaming_forward.py`` enforce
-    this at runtime.
-
-    Args:
-        models: fleet sharing one ``(n_states, n_symbols)`` shape.
-        obs_list: one validated (B_d, T) int array per model — one shared
-            length T, per-model batch sizes.
-
-    Returns:
-        One (B_d,) score array per model, aligned with ``models``.
-    """
-    if not models or len(models) != len(obs_list):
-        raise ModelError("score_fleet needs one observation batch per model")
-    n, m = models[0].n_states, models[0].n_symbols
-    length = obs_list[0].shape[1]
-    for model, obs in zip(models, obs_list):
-        if model.n_states != n or model.n_symbols != m:
-            raise ModelError(
-                "score_fleet requires same-shape models; mixed-shape fleets "
-                "must be scored per shape group"
-            )
-        if obs.ndim != 2 or obs.shape[1] != length:
-            raise ModelError("score_fleet requires one shared window length")
-        if obs.shape[0] == 0:
-            raise ModelError("score_fleet batches must be non-empty")
-    if length == 0:
-        return [np.zeros(obs.shape[0]) for obs in obs_list]
-    fleet = len(models)
-    batches = [obs.shape[0] for obs in obs_list]
-    height = -(-max(batches) // FLEET_GEMM_UNIT) * FLEET_GEMM_UNIT
-    # Padding rows are symbol 0, exactly like score_sequences' partial
-    # tiles: their scores are computed and discarded.
-    block = np.zeros((fleet, height, length), dtype=np.int64)
-    for d, obs in enumerate(obs_list):
-        block[d, : obs.shape[0]] = obs
-    transition = np.stack([model.transition for model in models])
-    emission_t = np.stack(
-        [np.ascontiguousarray(model.emission.T) for model in models]
-    )  # (D, M, N)
-    initial = np.stack([model.initial for model in models])[:, None, :]
-    didx = np.arange(fleet)[:, None]
-
-    alpha = np.empty((fleet, height, n))
-    product = np.empty((fleet, height, n))
-    scales = np.empty((fleet, height, length))
-    np.multiply(initial, emission_t[didx, block[:, :, 0]], out=alpha)
-    norm = scales[:, :, 0]
-    np.sum(alpha, axis=2, out=norm)
-    np.maximum(norm, SCALE_FLOOR, out=norm)
-    alpha /= norm[:, :, None]
-    for t in range(1, length):
-        np.matmul(alpha, transition, out=product)
-        np.multiply(product, emission_t[didx, block[:, :, t]], out=alpha)
-        norm = scales[:, :, t]
-        np.sum(alpha, axis=2, out=norm)
-        np.maximum(norm, SCALE_FLOOR, out=norm)
-        alpha /= norm[:, :, None]
-    np.log(scales, out=scales)
-    return [np.sum(scales[d, :rows], axis=1) for d, rows in enumerate(batches)]
-
-
-def log_likelihood_fleet(
-    models: "list[HiddenMarkovModel]", obs_list: "list[np.ndarray]"
-) -> "list[np.ndarray]":
-    """Duplicate-aware fleet scoring — the fused drain's entry point.
-
-    Per model: validate, hash-dedup the batch (:func:`_dedup_rows`), then
-    score every model's *distinct* rows in one :func:`score_fleet`
-    contraction and scatter back through the inverse indices.  Each
-    model's scattered scores — and its telemetry — are bit-identical to
-    what a :func:`log_likelihood_unique` call per model would produce;
-    only the kernel-launch count changes.
-    """
-    if not models or len(models) != len(obs_list):
-        raise ModelError(
-            "log_likelihood_fleet needs one observation batch per model"
-        )
-    uniques: list[np.ndarray] = []
-    inverses: list[np.ndarray | None] = []
-    checked: list[np.ndarray] = []
-    for model, obs in zip(models, obs_list):
-        obs = check_obs(model, obs)
-        checked.append(obs)
-        dedup = _dedup_rows(obs)
-        if dedup is None:
-            uniques.append(obs)
-            inverses.append(None)
-        else:
-            unique_rows, inverse = dedup
-            uniques.append(unique_rows)
-            inverses.append(inverse)
-    scored = score_fleet(models, uniques)
-    out: list[np.ndarray] = []
-    for obs, unique_scores, inverse in zip(checked, scored, inverses):
-        loglik = unique_scores if inverse is None else unique_scores[inverse]
-        if telemetry.enabled():
-            _record_score_telemetry(
-                loglik, int(obs.shape[0]), int(unique_scores.shape[0])
-            )
-        out.append(loglik)
-    return out
+    """Duplicate-aware ``log P(O | λ)`` for one model's (B, T) batch — the
+    one-model form of :func:`log_likelihood_stacked`."""
+    return log_likelihood_stacked([model], [obs])[0]
 
 
 # ---------------------------------------------------------------------------

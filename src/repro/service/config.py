@@ -36,14 +36,6 @@ class ServiceConfig:
             instead of being scored late.
         default_window: sliding-window length for monitor/stream sessions
             (the paper's 15).
-        cross_detector_batching: fuse one ``pump()`` round's per-lane
-            drains into a single cross-detector scoring pass — same-shape
-            (N, M) detectors' windows score through one batched tensor
-            contraction (:func:`repro.hmm.kernels.log_likelihood_fleet`);
-            mixed shapes fall back per shape group.  Outcomes are
-            bit-identical to per-lane drains either way; ``False`` keeps
-            the one-GEMM-sequence-per-detector behavior.  Sharded services
-            inherit the flag per worker (the config travels whole).
     """
 
     max_batch: int = 256
@@ -51,7 +43,6 @@ class ServiceConfig:
     admission_policy: AdmissionPolicy = AdmissionPolicy.REJECT_NEW
     latency_budget_s: float | None = None
     default_window: int = DEFAULT_SEGMENT_LENGTH
-    cross_detector_batching: bool = True
 
     def __post_init__(self) -> None:
         if self.max_batch <= 0:

@@ -1,27 +1,18 @@
 """Micro-batching scheduler: per-detector queues drained into one forward
 pass.
 
-The hot path the batched :mod:`repro.hmm.forward` recursions were written
-for: instead of one ``log_likelihood`` call per request (a (1, 15) matrix
-product per time step), a drain collects every ready window across all
-sessions of one detector and scores them as a single (B, 15) batch —
-unequal window lengths fall back to one call per *length group* via
-:func:`repro.hmm.forward.log_likelihood_ragged`.  Each length group is
-scored duplicate-aware (:func:`repro.hmm.kernels.log_likelihood_unique`):
-when many sessions watch the same hot code path, identical windows in a
-drain run the forward recursion once and share the result, bit-identical
-to scoring every row (``hmm.score.unique_ratio`` reports the effect).
-
-On top of the per-lane batch, :meth:`MicroBatchScheduler.drain_many`
-fuses one round's drains **across detectors** (the default ``pump()``
-path when ``ServiceConfig.cross_detector_batching`` is on): same-shape
-(N, M) detectors' length groups stack into one batched tensor
-contraction (:func:`repro.hmm.kernels.log_likelihood_fleet`), so a
-100-detector fleet drains in a handful of kernel launches instead of one
-GEMM sequence per detector.  Mixed-shape fleets degrade gracefully — each
-``(n_states, n_symbols, length)`` group scores on the fused path when two
-or more lanes share it and on the per-lane kernel otherwise — and every
-outcome is bit-identical to the per-lane drain.
+The hot path the batched :mod:`repro.hmm` kernels were written for:
+instead of one ``log_likelihood`` call per request (a (1, 15) matrix
+product per time step), a drain round collects every ready window across
+all sessions of every lane it is given and scores them together.  Rows
+are grouped across lanes by ``(n_states, n_symbols, window length)``, and
+each group is one duplicate-aware call into the one scoring kernel
+(:func:`repro.hmm.kernels.log_likelihood_stacked`): identical windows in a
+lane score once, and same-shape detectors share each timestep's batched
+matmul.  Every scoring GEMM has one shape, so a lane's scores do not
+depend on which other lanes or rows shared its round — ``pump()`` and a
+``pump(name)`` loop resolve the same bits, and both equal
+``Detector.score``.
 
 Admission control lives at the two points where load sheds:
 
@@ -37,9 +28,9 @@ Every shed request resolves with a typed
 resolve with a scored outcome (or a shutdown shed) — never silence.  A
 request scoring *failure* (e.g. a symbol outside a no-UNK model's
 alphabet) resolves that request with :class:`~repro.service.outcomes.Failed`
-without poisoning the rest of the batch, and an unexpected crash mid-drain
-resolves every already-popped ticket ``Failed`` before propagating — no
-code path strands a ticket.
+without poisoning the rest of the batch, and an unexpected crash mid-round
+resolves every already-popped ticket of every lane ``Failed`` before
+propagating — no code path strands a ticket.
 """
 
 from __future__ import annotations
@@ -52,8 +43,7 @@ import numpy as np
 from .. import telemetry
 from ..core.detector import Detector
 from ..errors import ModelError
-from ..hmm.forward import log_likelihood_ragged
-from ..hmm.kernels import log_likelihood_fleet, log_likelihood_unique
+from ..hmm.kernels import log_likelihood_stacked
 from .config import AdmissionPolicy, ServiceConfig
 from .outcomes import (
     Absorbed,
@@ -141,11 +131,11 @@ class _LaneDrain:
     """One lane's popped batch moving through the drain phases.
 
     ``_prepare`` fills the bookkeeping fields (and resolves sheds /
-    absorbed pushes / encode failures); scoring fills ``loglik`` for the
-    ``rows``; ``_finish`` resolves the scorable and streaming requests.
-    Splitting the phases this way is what lets :meth:`drain_many` score
-    *many* lanes' prepared rows in one fused pass between its per-lane
-    prepare and finish sweeps.
+    absorbed pushes / encode failures); ``_score`` fills ``loglik`` for
+    the ``rows``; ``_finish`` resolves the scorable and streaming
+    requests.  Splitting the phases this way is what lets
+    :meth:`MicroBatchScheduler.drain` score every lane's prepared rows in
+    one pass between its per-lane prepare and finish sweeps.
     """
 
     lane: DetectorLane
@@ -160,106 +150,54 @@ class _LaneDrain:
 
 
 class MicroBatchScheduler:
-    """Drains lanes; owns no threads (the service does).
-
-    Two drain shapes share the same prepare/score/finish phases:
-
-    * :meth:`drain` — one lane, scored through
-      :func:`~repro.hmm.forward.log_likelihood_ragged` exactly as before;
-    * :meth:`drain_many` — one fused round over many lanes: every lane is
-      prepared, then all prepared rows are grouped by
-      ``(n_states, n_symbols, window length)`` **across lanes** and each
-      multi-lane group scores through one batched
-      :func:`~repro.hmm.kernels.log_likelihood_fleet` contraction
-      (single-lane groups keep the per-lane kernel).  Scores, outcomes,
-      and per-lane telemetry are bit-identical to per-lane drains — only
-      the kernel-launch count changes.
-    """
+    """Drains lanes; owns no threads (the service does)."""
 
     def __init__(self, config: ServiceConfig, clock) -> None:
         self.config = config
         self.clock = clock
 
-    def drain(self, lane: DetectorLane, stats) -> int:
-        """Process up to ``max_batch`` queued requests of one lane.
+    def drain(self, lanes, stats) -> int:
+        """One drain round: up to ``max_batch`` queued requests per lane.
 
-        Returns the number of requests resolved (scored, streamed,
-        absorbed, deadline-shed, or failed).  One drain issues at most one
-        forward pass per distinct window length present in the batch — for
-        the homogeneous 15-call case, exactly one — and duplicate windows
-        within a length group are scored once (see the module docstring).
+        Pops every non-empty lane's batch, prepares each lane, scores all
+        prepared rows together (:meth:`_score`), then finishes each lane.
+        Returns the number of requests resolved across lanes (scored,
+        streamed, absorbed, deadline-shed, or failed).
 
         Exception safety: a request that cannot be scored (unknown symbol,
         no UNK slot) resolves :class:`Failed` individually; any *other*
-        exception resolves every popped-but-unresolved ticket ``Failed``
-        before propagating, so the documented "every accepted submission
-        resolves" invariant holds even when a drain crashes.
-        """
-        if not lane.queue:
-            return 0
-        now = self.clock()
-
-        taken: list[PendingRequest] = []
-        while lane.queue and len(taken) < self.config.max_batch:
-            taken.append(lane.queue.popleft())
-
-        try:
-            return self._process(lane, taken, now, stats)
-        except Exception as exc:
-            for request in taken:
-                if not request.ticket.done():
-                    request.session.note_gap()
-                    request.ticket._resolve(
-                        Failed(
-                            detector=lane.name,
-                            session=request.session.session_id,
-                            error=f"{type(exc).__name__}: {exc}",
-                            queued_s=max(0.0, now - request.enqueued_at),
-                        )
-                    )
-                    stats.count_failed()
-            raise
-        finally:
-            telemetry.gauge_set(f"service.queue.depth.{lane.name}", lane.depth)
-
-    def drain_many(self, lanes, stats) -> int:
-        """One fused drain round: up to ``max_batch`` requests per lane.
-
-        Pops every non-empty lane's batch first, then runs the shared
-        prepare phase per lane and scores all prepared rows together —
-        same-shape lanes through one cross-detector contraction per
-        distinct window length, mixed shapes falling back per
-        ``(n_states, n_symbols, length)`` group.  Returns the total
-        resolved across lanes.
-
-        Exception safety matches :meth:`drain` per request — encode and
-        streaming failures resolve individual tickets ``Failed`` — but the
-        crash backstop is round-wide: an unexpected mid-round exception
-        resolves every popped-but-unresolved ticket of **all** popped
-        lanes ``Failed`` before propagating (the fused pass is shared
-        state; no lane's tickets can be left pending behind it).
+        exception resolves every popped-but-unresolved ticket of **all**
+        popped lanes ``Failed`` before propagating (the scoring pass is
+        shared, so no lane's tickets can be left pending behind it), and
+        the documented "every accepted submission resolves" invariant
+        holds even when a round crashes.
         """
         now = self.clock()
-        popped: list[tuple[DetectorLane, list[PendingRequest]]] = []
+        drains: list[_LaneDrain] = []
         for lane in lanes:
             if not lane.queue:
                 continue
             taken: list[PendingRequest] = []
             while lane.queue and len(taken) < self.config.max_batch:
                 taken.append(lane.queue.popleft())
-            popped.append((lane, taken))
-        if not popped:
+            drains.append(_LaneDrain(lane=lane, taken=taken))
+        if not drains:
             return 0
         try:
-            return self._process_many(popped, now, stats)
+            for drain in drains:
+                self._prepare(drain, now, stats)
+            self._score(drains)
+            for drain in drains:
+                self._finish(drain, stats)
+            return sum(drain.resolved for drain in drains)
         except Exception as exc:
-            for lane, taken in popped:
-                for request in taken:
+            for drain in drains:
+                for request in drain.taken:
                     if not request.ticket.done():
                         request.session.note_gap()
                         request.ticket._resolve(
                             Failed(
-                                detector=lane.name,
+                                detector=drain.lane.name,
                                 session=request.session.session_id,
                                 error=f"{type(exc).__name__}: {exc}",
                                 queued_s=max(0.0, now - request.enqueued_at),
@@ -268,36 +206,17 @@ class MicroBatchScheduler:
                         stats.count_failed()
             raise
         finally:
-            for lane, _ in popped:
-                telemetry.gauge_set(f"service.queue.depth.{lane.name}", lane.depth)
+            for drain in drains:
+                telemetry.gauge_set(
+                    f"service.queue.depth.{drain.lane.name}", drain.lane.depth
+                )
 
-    def _process(
-        self, lane: DetectorLane, taken: list[PendingRequest], now: float, stats
-    ) -> int:
-        """Resolve one popped batch: sheds, monitor pushes, forward pass."""
-        drain = self._prepare(_LaneDrain(lane=lane, taken=taken), now, stats)
-        if drain.scorable:
-            drain.loglik = log_likelihood_ragged(lane.detector.model, drain.rows)
-        self._finish(drain, stats)
-        return drain.resolved
-
-    def _process_many(
-        self,
-        popped: list[tuple[DetectorLane, list[PendingRequest]]],
-        now: float,
-        stats,
-    ) -> int:
-        """Resolve one fused round: per-lane prepare, cross-lane score,
-        per-lane finish."""
-        drains = [
-            self._prepare(_LaneDrain(lane=lane, taken=taken), now, stats)
-            for lane, taken in popped
-        ]
-        # Group every prepared row by (model shape, window length) across
-        # lanes — insertion order is lane order then each lane's
-        # first-occurrence length order, mirroring log_likelihood_ragged.
+    @staticmethod
+    def _score(drains: list[_LaneDrain]) -> None:
+        """Fill every drain's ``loglik``: rows grouped across lanes by
+        ``(n_states, n_symbols, length)``, one kernel call per group."""
         groups: dict[
-            tuple[int, int, int], list[tuple[_LaneDrain, np.ndarray, list[int]]]
+            tuple[int, int, int], list[tuple[_LaneDrain, list[int]]]
         ] = {}
         for drain in drains:
             if not drain.scorable:
@@ -308,38 +227,20 @@ class MicroBatchScheduler:
             for position, row in enumerate(drain.rows):
                 by_length.setdefault(row.shape[0], []).append(position)
             for length, positions in by_length.items():
-                obs = np.stack([drain.rows[position] for position in positions])
                 key = (model.n_states, model.n_symbols, length)
-                groups.setdefault(key, []).append((drain, obs, positions))
-        fused_groups = 0
+                groups.setdefault(key, []).append((drain, positions))
         for entries in groups.values():
-            if len(entries) == 1:
-                # One lane in this shape/length group: the per-lane kernel
-                # is already a single pass (and uses the full 512-row
-                # tile); nothing to fuse.
-                drain, obs, positions = entries[0]
-                drain.loglik[positions] = log_likelihood_unique(
-                    drain.lane.detector.model, obs
-                )
-                continue
-            fused_groups += 1
-            scored = log_likelihood_fleet(
-                [drain.lane.detector.model for drain, _, _ in entries],
-                [obs for _, obs, _ in entries],
+            scored = log_likelihood_stacked(
+                [drain.lane.detector.model for drain, _ in entries],
+                [
+                    np.stack([drain.rows[position] for position in positions])
+                    for drain, positions in entries
+                ],
             )
-            for (drain, _, positions), loglik in zip(entries, scored):
+            for (drain, positions), loglik in zip(entries, scored):
                 drain.loglik[positions] = loglik
-        if groups:
-            telemetry.counter_add("service.drain.fused")
-            if fused_groups:
-                telemetry.counter_add("service.drain.fused_groups", fused_groups)
-        total = 0
-        for drain in drains:
-            self._finish(drain, stats)
-            total += drain.resolved
-        return total
 
-    def _prepare(self, drain: _LaneDrain, now: float, stats) -> _LaneDrain:
+    def _prepare(self, drain: _LaneDrain, now: float, stats) -> None:
         """Bookkeeping phase: deadline sheds, monitor pushes, encoding.
 
         Walks the popped batch in FIFO order, resolving everything that
@@ -393,7 +294,7 @@ class MicroBatchScheduler:
             model = lane.detector.model
             # Encode per request so one bad window (symbol outside a no-UNK
             # alphabet, or an empty window) fails alone instead of
-            # poisoning the whole batch — in either drain shape.
+            # poisoning the whole batch.
             rows: list[np.ndarray] = []
             encodable: list[tuple[PendingRequest, tuple[str, ...], float]] = []
             for request, window, queued_s in scorable:
@@ -426,13 +327,12 @@ class MicroBatchScheduler:
         drain.scorable = scorable
         drain.streaming = streaming
         drain.resolved = resolved
-        return drain
 
     def _finish(self, drain: _LaneDrain, stats) -> None:
         """Resolution phase: apply scores, then walk streaming sessions.
 
         ``drain.loglik`` must hold the raw per-row log-likelihoods for
-        ``drain.rows`` (whichever kernel produced them); outcomes carry
+        ``drain.rows`` (filled by :meth:`_score`); outcomes carry
         the per-symbol normalization exactly as before.
         """
         lane = drain.lane

@@ -25,7 +25,7 @@ from repro.hmm import (
     random_model,
     train,
 )
-from repro.hmm.kernels import SCALE_FLOOR, SCORE_TILE, em_step, score_sequences
+from repro.hmm.kernels import SCALE_FLOOR, SCORE_TILE, em_step, score_stacked
 
 # ---------------------------------------------------------------------------
 # Naive reference implementation of one EM iteration
@@ -231,22 +231,35 @@ class TestLogLikelihoodUnique:
         )
 
     def test_scoring_is_batch_invariant(self):
-        """A row's score is a pure function of its content: scoring any
-        subset of rows — whatever its size or position relative to the
-        fixed-height tiles — is bit-identical to scoring the full batch.
+        """A row's score is a pure function of the row and its model:
+        scoring any subset of rows — whatever its size or position
+        relative to the fixed-height tiles — or stacking another model's
+        batch beside it is bit-identical to scoring the full batch alone.
         n_states=17 deliberately hits the BLAS odd-row edge kernels that
-        make *variable*-height GEMMs position-dependent."""
+        make *variable*-height GEMMs position-dependent; 57-114 are the
+        corpus libcall sizes, where differently tall GEMMs disagree."""
         rng = np.random.default_rng(4)
-        model = random_model([f"s{i}" for i in range(24)], n_states=17, seed=6)
-        obs = rng.integers(0, 24, size=(SCORE_TILE * 2 + 300, 12))
-        full = score_sequences(model, obs)
-        for subset in (
-            np.arange(1),  # single row
-            np.arange(300, 900),  # straddles a tile boundary
-            rng.permutation(obs.shape[0])[:777],  # scattered odd count
-            np.arange(obs.shape[0]),  # identity
-        ):
-            assert np.array_equal(score_sequences(model, obs[subset]), full[subset])
+        symbols = [f"s{i}" for i in range(24)]
+        rows = SCORE_TILE * 3 + 5
+        for n_states in (17, 57, 58, 59, 74, 90, 98, 114):
+            model = random_model(symbols, n_states=n_states, seed=6)
+            other = random_model(symbols, n_states=n_states, seed=7)
+            obs = rng.integers(0, 24, size=(rows, 12))
+            other_obs = rng.integers(0, 24, size=(SCORE_TILE + 1, 12))
+            full = score_stacked([model], [obs])[0]
+            for subset in (
+                np.arange(1),  # single row
+                np.arange(SCORE_TILE // 2, 2 * SCORE_TILE + 3),  # straddles a tile boundary
+                rng.permutation(rows)[: SCORE_TILE + 7],  # scattered odd count
+                np.arange(rows),  # identity
+            ):
+                scored = score_stacked([model], [obs[subset]])[0]
+                assert np.array_equal(scored, full[subset]), n_states
+            stacked, stacked_other = score_stacked([model, other], [obs, other_obs])
+            assert np.array_equal(stacked, full), n_states
+            assert np.array_equal(
+                stacked_other, score_stacked([other], [other_obs])[0]
+            ), n_states
 
 
 # ---------------------------------------------------------------------------

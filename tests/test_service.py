@@ -29,8 +29,8 @@ from repro.core.monitor import OnlineMonitor
 from repro.core.streaming import StreamingScorer
 from repro.errors import NotFittedError, ServiceError
 from repro.gateway import DetectionGateway, GatewayConfig
-from repro.hmm import log_likelihood, random_model
-from repro.hmm.forward import log_likelihood_ragged
+from repro.hmm import random_model
+from repro.hmm.kernels import log_likelihood_stacked
 from repro.hmm.model import HiddenMarkovModel
 from repro.service import (
     Absorbed,
@@ -108,25 +108,6 @@ class TestScoreEquivalence:
         assert {o.batch_size for o in outcomes} == {40}
         assert service.stats.batches == 1
         assert service.stats.max_batch_size == 40
-
-    def test_ragged_batch_matches_grouped_forward(self, model):
-        rng = np.random.default_rng(9)
-        rows = [
-            rng.integers(0, model.n_symbols, size=rng.integers(3, 20))
-            for _ in range(25)
-        ]
-        ragged = log_likelihood_ragged(model, rows)
-        # Bit-identical to batching each length group together (the code
-        # path it promises); per-row calls only agree to float precision
-        # (GEMM vs GEMV accumulate in different orders).
-        for length in {row.shape[0] for row in rows}:
-            positions = [i for i, row in enumerate(rows) if row.shape[0] == length]
-            grouped = log_likelihood(model, np.stack([rows[i] for i in positions]))
-            assert ragged[positions].tolist() == grouped.tolist()
-        per_row = np.array(
-            [float(log_likelihood(model, row[None, :])[0]) for row in rows]
-        )
-        np.testing.assert_allclose(ragged, per_row, rtol=1e-12)
 
     def test_mixed_length_windows_in_one_drain(self, detector):
         windows = make_windows(10, length=15) + make_windows(10, length=8, seed=1)
@@ -429,10 +410,10 @@ class TestFailureSemantics:
         """The backstop: an unexpected mid-drain crash strands nothing."""
         import repro.service.scheduler as scheduler_module
 
-        def boom(model, rows):
+        def boom(models, obs_list):
             raise RuntimeError("kaboom")
 
-        monkeypatch.setattr(scheduler_module, "log_likelihood_ragged", boom)
+        monkeypatch.setattr(scheduler_module, "log_likelihood_stacked", boom)
         service = fresh_service(detector)
         tickets = [
             service.submit("svc", "s", window=w) for w in make_windows(5)
@@ -449,11 +430,11 @@ class TestFailureSemantics:
         real_drain = service._scheduler.drain
         crashes = {"n": 0}
 
-        def flaky(lane, stats):
-            if crashes["n"] == 0 and lane.queue:
+        def flaky(lanes, stats):
+            if crashes["n"] == 0 and any(lane.queue for lane in lanes):
                 crashes["n"] += 1
                 raise RuntimeError("transient")
-            return real_drain(lane, stats)
+            return real_drain(lanes, stats)
 
         service._scheduler.drain = flaky
         service.start()
@@ -468,15 +449,15 @@ class TestFailureSemantics:
         import repro.service.scheduler as scheduler_module
 
         calls = {"n": 0}
-        real = log_likelihood_ragged
+        real = log_likelihood_stacked
 
-        def flaky(model, rows):
+        def flaky(models, obs_list):
             calls["n"] += 1
             if calls["n"] == 1:
                 raise RuntimeError("transient")
-            return real(model, rows)
+            return real(models, obs_list)
 
-        monkeypatch.setattr(scheduler_module, "log_likelihood_ragged", flaky)
+        monkeypatch.setattr(scheduler_module, "log_likelihood_stacked", flaky)
         service = fresh_service(detector, max_batch=4)
         tickets = [
             service.submit("svc", "s", window=w) for w in make_windows(10)

@@ -1,16 +1,17 @@
-"""Differential tests for cross-detector batched drains.
+"""Differential tests for cross-detector drain rounds.
 
-``ServiceConfig.cross_detector_batching`` (default on) routes ``pump()``
-through :meth:`MicroBatchScheduler.drain_many`, which stacks same-shape
-detectors' length groups into one fused tensor contraction
-(:func:`repro.hmm.kernels.log_likelihood_fleet`).  The contract under
-test: **every externally observable outcome is bit-identical to per-lane
-drains** — scores, surprisals, alerts, anomaly verdicts, batch sizes,
-typed ``Failed`` isolation — only the kernel-launch count changes.
+``pump()`` drains every lane in one round, and
+:meth:`MicroBatchScheduler.drain` scores same-shape detectors' windows
+through one stacked kernel call
+(:func:`repro.hmm.kernels.log_likelihood_stacked`); ``pump(name)`` drains
+one lane alone.  The contract under test: **every externally observable
+outcome of a fused ``pump()`` is bit-identical to a ``pump(name)`` loop**
+— scores, surprisals, alerts, anomaly verdicts, batch sizes, typed
+``Failed`` isolation — and both equal ``Detector.score``.
 
-The fuzz harness runs the same submission plan against a fused and a
-per-lane service (deterministic clock, same detectors) and compares the
-resolved outcomes field by field.
+The fuzz harness runs the same submission plan through both call patterns
+(deterministic clock, same detectors) and compares the resolved outcomes
+field by field.
 """
 
 from __future__ import annotations
@@ -20,7 +21,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro import telemetry
 from repro.api import load_pretrained
 from repro.hmm import HiddenMarkovModel, random_model
 from repro.service import (
@@ -53,14 +53,19 @@ def fleet():
     ]
 
 
-def build_service(fused, fleet, threshold=-2.0, **config_kwargs):
-    service = DetectionService(
-        ServiceConfig(cross_detector_batching=fused, **config_kwargs),
-        clock=lambda: 0.0,
-    )
+def build_service(fleet, threshold=-2.0, window=4):
+    service = DetectionService(ServiceConfig(), clock=lambda: 0.0)
     for name, detector in fleet:
-        service.register(name, detector, threshold=threshold, window=4)
+        service.register(name, detector, threshold=threshold, window=window)
     return service
+
+
+def pump_round(service, fused):
+    """One drain round: a single ``pump()`` over every lane when
+    ``fused``, else a ``pump(name)`` loop that drains each lane alone."""
+    if fused:
+        return service.pump()
+    return sum(service.pump(name) for name in service.detectors)
 
 
 def summarize(outcome):
@@ -70,7 +75,7 @@ def summarize(outcome):
     return payload
 
 
-def run_plan(service, fleet, plan):
+def run_plan(service, fleet, plan, fused):
     """Execute one submission plan; returns the resolved outcome dicts.
 
     A plan step is ``(lane_index, tenant, kind, payload)`` with kind one
@@ -86,7 +91,7 @@ def run_plan(service, fleet, plan):
         if (name, session) not in service._sessions:
             service.open_session(name, session, kind)
         tickets.append(service.submit(name, session, symbol=payload))
-    while service.pump():
+    while pump_round(service, fused):
         pass
     return [summarize(t.result()) for t in tickets]
 
@@ -115,9 +120,45 @@ class TestDifferentialFuzz:
     @settings(max_examples=25, deadline=None)
     @given(submission_plan())
     def test_fused_outcomes_equal_per_lane(self, fleet, plan):
-        fused = run_plan(build_service(True, fleet), fleet, plan)
-        per_lane = run_plan(build_service(False, fleet), fleet, plan)
+        fused = run_plan(build_service(fleet), fleet, plan, fused=True)
+        per_lane = run_plan(build_service(fleet), fleet, plan, fused=False)
         assert fused == per_lane  # bitwise: scores are floats compared ==
+
+
+class TestLibcallSizes:
+    @pytest.mark.parametrize("n_states", [57, 58, 59, 74, 90, 98, 114])
+    def test_pump_equals_per_lane_loop_and_direct(self, n_states):
+        """At the corpus libcall models' sizes, one ``pump()`` over two
+        same-shape lanes, a ``pump(name)`` loop and ``Detector.score``
+        agree bit for bit."""
+        symbols = [f"call{i}" for i in range(60)]
+        fleet = [
+            (f"lane{seed}", load_pretrained(random_model(symbols, n_states, seed=seed)))
+            for seed in (10, 11)
+        ]
+        rng = np.random.default_rng(0)
+        windows = {
+            name: [
+                tuple(symbols[i] for i in rng.integers(0, len(symbols), size=15))
+                for _ in range(12)
+            ]
+            for name, _ in fleet
+        }
+        scores = {}
+        for fused in (True, False):
+            service = build_service(fleet, window=15)
+            tickets = {
+                name: [service.submit(name, "t", window=w) for w in ws]
+                for name, ws in windows.items()
+            }
+            assert pump_round(service, fused) == 24
+            scores[fused] = {
+                name: [t.result().score for t in ts]
+                for name, ts in tickets.items()
+            }
+        assert scores[True] == scores[False]
+        for name, detector in fleet:
+            assert scores[True][name] == detector.score(windows[name]).tolist()
 
 
 class TestFusedRound:
@@ -132,7 +173,7 @@ class TestFusedRound:
             ]
             for name in ("alpha", "beta")
         }
-        service = build_service(True, fleet)
+        service = build_service(fleet)
         tickets = {
             name: [service.submit(name, "t", window=w) for w in ws]
             for name, ws in windows.items()
@@ -143,35 +184,22 @@ class TestFusedRound:
             assert got == detector.score(windows[name]).tolist()
 
     def test_mixed_shapes_fall_back_per_group(self, fleet):
-        """One fused round over all four lanes: the same-shape pair goes
-        through the fleet kernel (one fused group), the odd shapes score
-        per lane — and the telemetry counters say exactly that."""
+        """One round over all four lanes: the same-shape pair shares a
+        kernel call, the odd shapes score in their own groups — and every
+        score equals the detector scoring its window directly."""
         window = tuple(SYMBOLS[:4]) * 2
         alt_window = tuple(ALT_SYMBOLS) * 2
-        service = build_service(True, fleet)
-        with telemetry.session():
-            tickets = [
-                service.submit("alpha", "t", window=window),
-                service.submit("beta", "t", window=window),
-                service.submit("gamma", "t", window=window),
-                service.submit("delta", "t", window=alt_window),
-            ]
-            assert service.pump() == 4
-            snap = telemetry.snapshot()
-        assert snap["counters"]["service.drain.fused"] == 1
-        assert snap["counters"]["service.drain.fused_groups"] == 1
+        service = build_service(fleet)
+        tickets = [
+            service.submit("alpha", "t", window=window),
+            service.submit("beta", "t", window=window),
+            service.submit("gamma", "t", window=window),
+            service.submit("delta", "t", window=alt_window),
+        ]
+        assert service.pump() == 4
         for ticket, (name, detector) in zip(tickets, fleet):
             expected = window if name != "delta" else alt_window
             assert ticket.result().score == detector.score([expected])[0]
-
-    def test_single_lane_pump_skips_the_fused_path(self, fleet):
-        service = build_service(True, fleet[:1])
-        with telemetry.session():
-            ticket = service.submit("alpha", "t", window=tuple(SYMBOLS))
-            service.pump()
-            snap = telemetry.snapshot()
-        assert "service.drain.fused" not in snap["counters"]
-        assert isinstance(ticket.result(), Scored)
 
 
 class TestFailedIsolation:
@@ -199,14 +227,15 @@ class TestFailedIsolation:
     @pytest.mark.parametrize("fused", [True, False])
     def test_bad_windows_fail_alone(self, strict_fleet, fused):
         """Unknown-symbol and empty windows resolve ``Failed`` without
-        poisoning the rest of the round — identically in both modes."""
+        poisoning the rest of the round — under one ``pump()`` and under a
+        ``pump(name)`` loop alike."""
         good = tuple(SYMBOLS[:3]) * 3
-        service = build_service(fused, strict_fleet)
+        service = build_service(strict_fleet)
         good_a = service.submit("strict-a", "t", window=good)
         bad_sym = service.submit("strict-a", "t", window=("open", "EVIL"))
         empty = service.submit("strict-b", "t", window=())
         good_b = service.submit("strict-b", "t", window=good)
-        assert service.pump() == 4
+        assert pump_round(service, fused) == 4
 
         assert isinstance(bad_sym.result(), Failed)
         assert "EVIL" in bad_sym.result().error
@@ -225,9 +254,9 @@ class TestFailedIsolation:
             raise RuntimeError("fleet kernel exploded")
 
         monkeypatch.setattr(
-            "repro.service.scheduler.log_likelihood_fleet", boom
+            "repro.service.scheduler.log_likelihood_stacked", boom
         )
-        service = build_service(True, fleet)
+        service = build_service(fleet)
         window = tuple(SYMBOLS[:5]) * 3
         tickets = [
             service.submit(name, "t", window=window) for name, _ in fleet
@@ -256,8 +285,8 @@ class TestSessionsInFusedRounds:
             else:
                 payload = labels[int(rng.integers(0, len(labels)))]
             plan.append((lane_index, int(rng.integers(0, 2)), kind, payload))
-        fused = run_plan(build_service(True, fleet), fleet, plan)
-        per_lane = run_plan(build_service(False, fleet), fleet, plan)
+        fused = run_plan(build_service(fleet), fleet, plan, fused=True)
+        per_lane = run_plan(build_service(fleet), fleet, plan, fused=False)
         assert fused == per_lane
         kinds = {outcome["type"] for outcome in fused}
         assert {"Scored", "Streamed", "Absorbed"} <= kinds
@@ -266,7 +295,7 @@ class TestSessionsInFusedRounds:
         from repro.core.streaming import StreamingScorer
 
         feed = [SYMBOLS[i % len(SYMBOLS)] for i in range(10)]
-        service = build_service(True, fleet)
+        service = build_service(fleet)
         service.open_session("alpha", "s", "stream")
         service.open_session("beta", "s", "stream")
         tickets = []
@@ -286,10 +315,11 @@ class TestSessionsInFusedRounds:
             )
 
 
-class TestShardedFlag:
-    def test_sharded_scores_identical_under_both_flags(self, fleet):
-        """The whole ServiceConfig travels to each worker, so the flag
-        applies per shard — and cannot change any score."""
+class TestShardedDrain:
+    def test_sharded_pump_matches_per_lane_pumps(self, fleet):
+        """The whole ServiceConfig travels to each worker, which drains
+        with the in-process scheduler — so one sharded ``pump()`` and a
+        ``pump(name)`` loop score the same bits as ``Detector.score``."""
         window_sets = {
             name: [
                 tuple(SYMBOLS[i] for i in rng.integers(0, 5, size=15))
@@ -300,10 +330,7 @@ class TestShardedFlag:
         }
         results = {}
         for fused in (True, False):
-            service = ShardedDetectionService(
-                ServiceConfig(cross_detector_batching=fused),
-                ShardConfig(shards=1),
-            )
+            service = ShardedDetectionService(ServiceConfig(), ShardConfig(shards=1))
             try:
                 for name, detector in fleet[:2]:
                     service.register(name, detector, threshold=-2.0)
@@ -312,8 +339,9 @@ class TestShardedFlag:
                     for name, ws in window_sets.items()
                     for w in ws
                 ]
+                assert pump_round(service, fused) == len(tickets)
             finally:
-                service.close()  # drains, then resolves every ticket
+                service.close()
             results[fused] = [
                 (name, t.result(timeout=10).score) for name, t in tickets
             ]
