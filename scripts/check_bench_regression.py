@@ -26,8 +26,8 @@ quadratic drain loop, a de-vectorized kernel — not scheduler jitter.
 Usage::
 
     python scripts/check_bench_regression.py BENCH_em.json
-    python scripts/check_bench_regression.py BENCH_service_sharded.json \
-        --baseline benchmarks/baselines/BENCH_service_sharded.json \
+    python scripts/check_bench_regression.py BENCH_service.json \
+        --baseline benchmarks/baselines/BENCH_service.json \
         --threshold 0.25
     python scripts/check_bench_regression.py --audit
 
@@ -63,9 +63,6 @@ THROUGHPUT_METRICS: dict[str, tuple[str, ...]] = {
         "service.64.segments_per_s",
         "service.256.segments_per_s",
     ),
-    "service_sharded": (
-        "shards.1.segments_per_s",
-    ),
     "runtime_scaling": (
         "warm_speedup",
     ),
@@ -93,7 +90,6 @@ THROUGHPUT_METRICS: dict[str, tuple[str, ...]] = {
 BASELINE_FILES: dict[str, str] = {
     "em_kernels": "BENCH_em.json",
     "service_throughput": "BENCH_service.json",
-    "service_sharded": "BENCH_service_sharded.json",
     "runtime_scaling": "BENCH_runtime.json",
     "gateway": "BENCH_gateway.json",
     "streaming_forward": "BENCH_streaming.json",
@@ -114,7 +110,6 @@ INVARIANT_FLAGS: dict[str, tuple[str, ...]] = {
         "bit_identity.scoring_dedup_vs_full",
     ),
     "service_throughput": ("bit_identical",),
-    "service_sharded": ("bit_identical_1_shard",),
     "runtime_scaling": ("bit_identical",),
     "gateway": ("scores_bit_identical", "metrics_valid"),
     "streaming_forward": (

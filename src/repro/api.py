@@ -181,30 +181,16 @@ def open_monitor(
     )
 
 
-def open_service(
-    config=None,
-    *,
-    shards: int = 1,
-    shard_config=None,
-):
-    """Open a detection service sized to the deployment.
+def open_service(config=None):
+    """Open the in-process micro-batched detection service.
 
-    ``shards=1`` returns the in-process micro-batched
-    :class:`~repro.service.service.DetectionService`; ``shards > 1`` (or an
-    explicit :class:`~repro.service.config.ShardConfig`) returns the
-    process-sharded :class:`~repro.service.sharded.ShardedDetectionService`
-    — same API, model weights published once through shared memory, one
-    worker process per shard.  See ``docs/service.md``.
-
-    Args:
-        config: a :class:`~repro.service.config.ServiceConfig` (per-shard
-            batching/queueing knobs).
-        shards: worker-process count.
-        shard_config: full sharding knobs; overrides ``shards``.
+    Returns a :class:`~repro.service.service.DetectionService` built from
+    ``config`` (a :class:`~repro.service.config.ServiceConfig`; defaults
+    apply when omitted).  See ``docs/service.md``.
     """
-    from .service import create_service
+    from .service import DetectionService
 
-    return create_service(config, shards=shards, shard_config=shard_config)
+    return DetectionService(config)
 
 
 def kernel_backend() -> str:

@@ -159,10 +159,6 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--policy", choices=("reject-new", "shed-oldest"),
                        default="reject-new",
                        help="admission policy when the queue is full")
-    serve.add_argument("--shards", type=int, default=1,
-                       help="worker processes; >1 shards sessions across "
-                            "processes with shared-memory model weights "
-                            "(1 = in-process service, today's behavior)")
 
     gateway = sub.add_parser(
         "gateway",
@@ -182,8 +178,6 @@ def build_parser() -> argparse.ArgumentParser:
                          help="window length (monitor/stream sessions)")
     gateway.add_argument("--threshold", type=float, default=None,
                          help="operating threshold; anomalous iff score < T")
-    gateway.add_argument("--shards", type=int, default=1,
-                         help="worker processes (1 = in-process service)")
     gateway.add_argument("--batch", type=int, default=256,
                          help="max windows per micro-batch drain")
     gateway.add_argument("--queue-depth", type=int, default=4096,
@@ -476,12 +470,12 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     from .errors import ServiceError
     from .service import (
         AdmissionPolicy,
+        DetectionService,
         Failed,
         Overloaded,
         Scored,
         ServiceConfig,
         Streamed,
-        create_service,
         resolve_model,
     )
 
@@ -506,7 +500,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         ),
         default_window=args.length,
     )
-    service = create_service(config, shards=args.shards)
+    service = DetectionService(config)
     service.register("served", detector, threshold=args.threshold,
                      window=args.length)
 
@@ -545,7 +539,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     stats = service.stats
     rows = [
         ["sessions", len(traces)],
-        *([["shards", args.shards]] if args.shards > 1 else []),
         ["submitted", stats.submitted],
         ["scored", stats.scored + stats.streamed],
         ["absorbed (window warm-up)", stats.absorbed],
@@ -584,8 +577,8 @@ def _cmd_gateway(args: argparse.Namespace) -> int:
     from .runtime import ModelRegistry
     from .service import (
         AdmissionPolicy,
+        DetectionService,
         ServiceConfig,
-        create_service,
         resolve_model,
     )
 
@@ -600,7 +593,7 @@ def _cmd_gateway(args: argparse.Namespace) -> int:
         admission_policy=AdmissionPolicy(args.policy),
         default_window=args.length,
     )
-    service = create_service(config, shards=args.shards)
+    service = DetectionService(config)
     service.register(args.name, detector, threshold=args.threshold,
                      window=args.length)
     registry = ModelRegistry(cache=cache)
@@ -624,7 +617,7 @@ def _cmd_gateway(args: argparse.Namespace) -> int:
         service.start()
     gateway.start()
     # SIGTERM (docker stop, CI `kill`) takes the same graceful path as
-    # Ctrl-C, so worker shards and shared-memory segments release cleanly.
+    # Ctrl-C, so the gateway stops and the service closes cleanly.
     import signal as _signal
     _signal.signal(_signal.SIGTERM, _signal.default_int_handler)
     print(f"gateway listening on http://{args.host}:{gateway.port}",

@@ -55,7 +55,6 @@ _STATS_COUNTERS = frozenset(
         "shed_shutdown",
         "shed_total",
         "batches",
-        "shard_crashes",
     }
 )
 
@@ -104,9 +103,10 @@ class _Family:
 
         Service stats render before the telemetry snapshot, so when both
         carry the same counter (e.g. ``submitted`` and the
-        ``service.submitted`` telemetry counter) the stats value — the
-        fleet-merged, crash-aware one — is the one exposed, and the output
-        never holds duplicate samples (which scrapers reject).
+        ``service.submitted`` telemetry counter) the stats value — this
+        service's own count, where the telemetry counter spans every
+        service in the process — is the one exposed, and the output never
+        holds duplicate samples (which scrapers reject).
         """
         labels = labels or {}
         key = (suffix, tuple(sorted(labels.items())))
@@ -168,9 +168,8 @@ def render_prometheus(
         snapshot: a :func:`repro.telemetry.snapshot` payload (or ``None``
             for none — e.g. a deployment running with telemetry off still
             exposes its service stats).
-        service_stats: a ``ServiceStats.as_dict()`` /
-            ``ShardedServiceStats.as_dict()`` payload, exported under
-            ``repro_service_*``.
+        service_stats: a ``ServiceStats.as_dict()`` payload, exported
+            under ``repro_service_*``.
         extra_gauges: ad-hoc point-in-time values (``repro_<name>``),
             e.g. the gateway's uptime and inflight-request count.
     """
@@ -178,7 +177,7 @@ def render_prometheus(
     snapshot = snapshot or {}
 
     # Stats first: where a stats key and a telemetry counter name the same
-    # family, the merged stats value wins (see _Family.add).
+    # family, the stats value wins (see _Family.add).
     for key, value in (service_stats or {}).items():
         if not isinstance(value, (int, float)) or isinstance(value, bool):
             continue

@@ -3,12 +3,11 @@
 A deliberately minimal, dependency-free gateway: handwritten HTTP/1.1 over
 ``asyncio.start_server`` (keep-alive, ``Content-Length`` framing, JSON
 bodies) feeding the existing **bounded admission queues** of
-:class:`~repro.service.service.DetectionService` /
-:class:`~repro.service.sharded.ShardedDetectionService`.  The gateway adds
-no queueing of its own — backpressure is the service's typed
+:class:`~repro.service.service.DetectionService`.  The gateway adds no
+queueing of its own — backpressure is the service's typed
 :class:`~repro.service.outcomes.Overloaded` outcome, surfaced as HTTP 429
-(admission shed) or 503 (shutdown / shard down), so a load balancer sees
-the same story the in-process API tells.
+(admission shed) or 503 (shutdown), so a load balancer sees the same story
+the in-process API tells.
 
 Endpoints (all JSON unless noted)::
 
@@ -31,14 +30,14 @@ registered detector is pushed into the live service via
 ``service.swap_detector`` — the lane drains under the old model first (the
 swap barrier), then in-flight sessions are rebound in place.  No session is
 dropped or gap-marked by an upgrade; ``tests/test_gateway_e2e.py`` proves
-this black-box over a sharded fleet.
+this black-box against the CLI gateway.
 
-Event-loop discipline: every service call (lock + pipe I/O) runs in
-``asyncio.to_thread``, so slow drains never stall the accept loop or other
-connections.  Outcomes are awaited on the loop itself: each ticket's
-done-callback settles a loop future from the draining thread, so a parked
-``observe`` holds no executor thread and any number of them can wait
-without starving other routes.
+Event-loop discipline: every service call runs in ``asyncio.to_thread``
+(it takes the service lock a drain holds), so slow drains never stall the
+accept loop or other connections.  Outcomes are awaited on the loop
+itself: each ticket's done-callback settles a loop future from the
+draining thread, so a parked ``observe`` holds no executor thread and any
+number of them can wait without starving other routes.
 """
 
 from __future__ import annotations
@@ -213,8 +212,10 @@ def _version_to_json(entry, active: int | None) -> dict:
 
 
 def _service_error_status(exc: ServiceError) -> int:
+    # Match the closed message exactly: other messages quote caller-chosen
+    # ids, which may contain any word.
     text = str(exc)
-    if "closed" in text or "shard" in text and "died" in text:
+    if text == "service is closed":
         return 503
     if text.startswith("no detector") or "is not open" in text:
         return 404
@@ -545,34 +546,17 @@ class DetectionGateway:
     # Handlers
     # ------------------------------------------------------------------
     def _health(self) -> dict:
-        info = {
-            "status": "ok",
+        return {
+            "status": "closed" if self.service.closed else "ok",
             "detectors": sorted(self.service.detectors),
             "lineages": list(self.registry.lineages()),
             "uptime_s": time.monotonic() - self._t0,
+            "pending": self.service.pending,
         }
-        try:
-            info["pending"] = self.service.pending
-        except ServiceError:
-            info["status"] = "closed"
-        shards = getattr(self.service, "shards", None)
-        if isinstance(shards, int):
-            info["shards"] = shards
-            info["live_shards"] = self.service.live_shards
-        return info
 
     def _metrics_text(self) -> str:
-        sync = getattr(self.service, "sync_telemetry", None)
-        if sync is not None:
-            try:
-                sync()
-            except ServiceError:
-                pass  # closed service: render what the parent already holds
         snap = telemetry.snapshot() if telemetry.enabled() else None
-        try:
-            stats = self.service.stats.as_dict()
-        except ServiceError:  # pragma: no cover - stats never raises today
-            stats = {}
+        stats = self.service.stats.as_dict()
         extra = {
             "gateway.uptime_seconds": time.monotonic() - self._t0,
             "gateway.inflight_requests": self._inflight,

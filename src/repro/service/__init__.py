@@ -22,15 +22,10 @@ Quick start::
     service.pump()                       # one drain = one (B, 15) batch
     outcomes = [t.result() for t in tickets]
 
-To spread the same workload over CPU cores, :func:`create_service` with
-``shards > 1`` returns a :class:`~repro.service.sharded.ShardedDetectionService`
-— the identical API fanned out over worker processes with shared-memory
-model weights (see :mod:`repro.service.sharded`).
-
 See ``docs/service.md`` for architecture, knobs, and the telemetry catalog.
 """
 
-from .config import AdmissionPolicy, ServiceConfig, ShardConfig
+from .config import AdmissionPolicy, ServiceConfig
 from .fleet import load_fleet, rebuild_detector, resolve_model
 from .outcomes import (
     Absorbed,
@@ -43,15 +38,8 @@ from .outcomes import (
     Ticket,
 )
 from .scheduler import BATCH_SIZE_BUCKETS, MicroBatchScheduler
-from .service import DetectionService, ServiceStats, create_service
+from .service import DetectionService, ServiceStats
 from .sessions import Session, SessionMode
-from .sharded import (
-    HashRing,
-    RemoteSession,
-    ShardedDetectionService,
-    ShardedServiceStats,
-)
-from .shm import ModelAttachment, SharedModelSpec, SharedModelStore, attach_model
 
 __all__ = [
     "Absorbed",
@@ -59,27 +47,17 @@ __all__ = [
     "BATCH_SIZE_BUCKETS",
     "DetectionService",
     "Failed",
-    "HashRing",
     "MicroBatchScheduler",
-    "ModelAttachment",
     "Overloaded",
-    "RemoteSession",
     "ScoreOutcome",
     "Scored",
     "ServiceConfig",
     "ServiceStats",
     "Session",
     "SessionMode",
-    "ShardConfig",
-    "ShardedDetectionService",
-    "ShardedServiceStats",
-    "SharedModelSpec",
-    "SharedModelStore",
     "ShedReason",
     "Streamed",
     "Ticket",
-    "attach_model",
-    "create_service",
     "load_fleet",
     "rebuild_detector",
     "resolve_model",

@@ -53,40 +53,3 @@ class ServiceConfig:
             raise ServiceError("latency_budget_s must be positive (or None)")
         if self.default_window <= 0:
             raise ServiceError("default_window must be positive")
-
-
-@dataclass(frozen=True)
-class ShardConfig:
-    """Process-sharding knobs for
-    :class:`~repro.service.sharded.ShardedDetectionService`.
-
-    Attributes:
-        shards: worker-process count.  Every registered detector gets a
-            lane in every shard; sessions route to one shard by consistent
-            hashing of the session id, so each shard's effective admission
-            limit is the per-lane ``ServiceConfig.max_queue_depth``.
-        virtual_nodes: ring points per shard for the consistent-hash
-            router — more points, smoother balance (and smaller remap when
-            the shard count changes between deployments).
-        restart_crashed_shards: respawn a worker whose process dies.  The
-            replacement re-registers the fleet from the shared-memory store
-            and re-opens previously opened monitor/stream sessions with
-            fresh (gap-marked) sticky state.  When ``False`` the service
-            degrades: submissions routed to a dead shard raise
-            ``ServiceError`` while the surviving shards keep scoring.
-        start_method: ``multiprocessing`` start method for workers
-            (default: ``fork`` where available, else the platform default —
-            the same preference :class:`repro.runtime.ParallelExecutor`
-            uses).
-    """
-
-    shards: int = 1
-    virtual_nodes: int = 64
-    restart_crashed_shards: bool = True
-    start_method: str | None = None
-
-    def __post_init__(self) -> None:
-        if self.shards <= 0:
-            raise ServiceError("shards must be positive")
-        if self.virtual_nodes <= 0:
-            raise ServiceError("virtual_nodes must be positive")

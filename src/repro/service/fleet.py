@@ -70,12 +70,9 @@ def rebuild_detector(
 ) -> PretrainedDetector:
     """Wrap an already-materialized model as a servable detector.
 
-    The worker side of the sharded service's registration path: the parent
-    publishes parameters through the
-    :class:`~repro.service.shm.SharedModelStore`, the worker attaches the
-    shared arrays zero-copy, and this puts the same ``(kind, context,
-    name)`` detector identity back around them — so a shard's lane scores
-    through an object indistinguishable from the one ``register`` saw.
+    The gateway's publish path uses this: a registry activation hands over
+    a bare model, and this puts the lane's ``(kind, context, name)``
+    detector identity around it for ``swap_detector``.
     """
     return PretrainedDetector(model, kind=CallKind(kind), context=context, name=name)
 

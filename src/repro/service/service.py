@@ -257,6 +257,8 @@ class DetectionService:
         lane = self._lane(detector)
         key = (detector, session_id)
         with self._lock:
+            if self._closed:
+                raise ServiceError("service is closed")
             existing = self._sessions.get(key)
             if existing is not None:
                 if existing.mode is not mode:
@@ -417,6 +419,11 @@ class DetectionService:
         with self._lock:
             return sum(lane.depth for lane in self._lanes.values())
 
+    @property
+    def closed(self) -> bool:
+        """Whether :meth:`close` has run; a closed service refuses work."""
+        return self._closed
+
     # ------------------------------------------------------------------
     # Threaded deployment + shutdown
     # ------------------------------------------------------------------
@@ -522,34 +529,3 @@ class DetectionService:
                 f"no detector {name!r} registered; have {sorted(self._lanes)}"
             )
         return lane
-
-
-def create_service(
-    config: ServiceConfig | None = None,
-    *,
-    shards: int = 1,
-    shard_config=None,
-):
-    """Build the right service for a shard count.
-
-    ``shards=1`` (and no explicit shard config) returns a plain in-process
-    :class:`DetectionService` — zero process overhead, today's exact
-    behavior.  Anything else returns a
-    :class:`~repro.service.sharded.ShardedDetectionService` fanning the
-    identical API out over worker processes (a 1-shard sharded service is
-    still bit-identical to the in-process one; it just pays one worker).
-
-    Args:
-        config: per-service (per-shard, when sharded) batching knobs.
-        shards: worker-process count; ignored when ``shard_config`` is given.
-        shard_config: a full :class:`~repro.service.config.ShardConfig` for
-            routing/restart knobs beyond the count.
-    """
-    if shard_config is None and shards == 1:
-        return DetectionService(config)
-    from .config import ShardConfig
-    from .sharded import ShardedDetectionService
-
-    if shard_config is None:
-        shard_config = ShardConfig(shards=shards)
-    return ShardedDetectionService(config, shard_config)

@@ -12,6 +12,7 @@ from repro.core.monitor import OnlineMonitor
 from repro.errors import EvaluationError, ModelError, NotFittedError
 from repro.hmm import random_model, save_model
 from repro.program import CallKind
+from repro.service import DetectionService, ServiceConfig
 from repro.tracing import build_segment_set, segment_symbols
 
 
@@ -117,6 +118,16 @@ class TestOpenMonitor:
             api.open_monitor(fitted)
         with pytest.raises(EvaluationError, match="not both"):
             api.open_monitor(fitted, threshold=-1.0, normal_scores=np.ones(3))
+
+
+class TestOpenService:
+    def test_returns_in_process_service(self):
+        config = ServiceConfig(max_batch=8)
+        service = api.open_service(config)
+        assert isinstance(service, DetectionService)
+        assert service.config is config
+        service.close()
+        assert isinstance(api.open_service(), DetectionService)
 
 
 class TestLoadPretrained:

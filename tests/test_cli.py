@@ -138,22 +138,6 @@ class TestTraceCommands:
         assert "rate 0.00%" in out          # shed-rate exactly zero
         assert "failed to score" not in out
 
-    def test_serve_sharded_replay(self, tmp_path, capsys):
-        """--shards N replays through the multi-process service."""
-        log_path = tmp_path / "t.log"
-        model_path = tmp_path / "m.npz"
-        assert main(["trace", "gzip", "--cases", "4", "--output",
-                     str(log_path)]) == 0
-        assert main(["train", "gzip", "--model", "cmarkov", "--cases", "10",
-                     "--output", str(model_path)]) == 0
-        capsys.readouterr()
-        assert main(["serve", str(model_path), str(log_path),
-                     "--shards", "2", "--batch", "32"]) == 0
-        out = capsys.readouterr().out
-        assert "shards" in out
-        assert "rate 0.00%" in out
-        assert "failed to score" not in out
-
     def test_call_graph_dot(self, capsys):
         assert main(["dot", "gzip"]) == 0
         out = capsys.readouterr().out
@@ -229,15 +213,13 @@ class TestGatewayParser:
         assert args.host == "127.0.0.1"
         assert args.port == 0
         assert args.name == "served"
-        assert args.shards == 1
         assert args.no_pump is False
 
     def test_gateway_flags(self):
         args = build_parser().parse_args(
-            ["gateway", "m.npz", "--shards", "2", "--queue-depth", "8",
+            ["gateway", "m.npz", "--queue-depth", "8",
              "--no-pump", "--port", "8125"]
         )
-        assert args.shards == 2
         assert args.queue_depth == 8
         assert args.no_pump is True
         assert args.port == 8125

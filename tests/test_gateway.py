@@ -208,8 +208,8 @@ class TestRenderPrometheus:
         assert validate_text(text) == []
 
     def test_stats_dict_beats_duplicate_telemetry_counter(self):
-        # The sharded stats view merges crashed workers' parent-side
-        # accounting; the telemetry counter of the same name must not
+        # Telemetry counters span every service in the process, stats
+        # count this one; the telemetry counter of the same name must not
         # produce a duplicate (invalid) or contradictory sample.
         snap = {"counters": {"service.submitted": 5.0}}
         stats = {"submitted": 8, "max_depth_seen": 3}
@@ -217,11 +217,6 @@ class TestRenderPrometheus:
         assert "repro_service_submitted_total 8" in text
         assert "repro_service_submitted_total 5" not in text
         assert "repro_service_max_depth_seen 3" in text
-        assert validate_text(text) == []
-
-    def test_shard_crashes_exports_as_counter(self):
-        text = render_prometheus(None, {"shard_crashes": 2})
-        assert "repro_service_shard_crashes_total 2" in text
         assert validate_text(text) == []
 
     def test_spans_export_as_labeled_counters(self):
@@ -530,6 +525,42 @@ class TestGatewayHTTP:
             {"window": ["open", "read", "write", "close", "read"]},
         )
         assert status == 503
+
+    @pytest.mark.parametrize("session", ["open-tab", "closed-tab"])
+    def test_observe_to_unopened_session_404(self, gateway_stack, session):
+        # Ids are the caller's: one that contains "closed" is still a
+        # client error, not a backend outage.
+        gateway, *_ = gateway_stack
+        status, payload = _request(
+            gateway, "POST", f"/v1/sessions/served/{session}/observe",
+            {"symbol": "read"},
+        )
+        assert status == 404, payload
+
+    def test_unknown_detector_named_unclosed_404(self, gateway_stack):
+        gateway, *_ = gateway_stack
+        status, payload = _request(
+            gateway, "POST", "/v1/sessions",
+            {"detector": "unclosed", "session": "s", "mode": "stream"},
+        )
+        assert status == 404, payload
+
+    def test_health_reports_closed_after_close(self, gateway_stack):
+        gateway, *_ = gateway_stack
+        _request(gateway, "POST", "/v1/admin/close", {"drain": True})
+        status, payload = _request(gateway, "GET", "/health")
+        assert status == 200
+        assert payload["status"] == "closed"
+        assert payload["pending"] == 0
+
+    def test_open_session_after_close_503(self, gateway_stack):
+        gateway, *_ = gateway_stack
+        _request(gateway, "POST", "/v1/admin/close", {"drain": True})
+        status, payload = _request(
+            gateway, "POST", "/v1/sessions",
+            {"detector": "served", "session": "late", "mode": "stream"},
+        )
+        assert status == 503, payload
 
 
 class TestParkedObserves:

@@ -116,8 +116,8 @@ def model_paths(tmp_path_factory):
 
 @pytest.fixture(scope="module")
 def fleet(model_paths):
-    """The shared 2-shard fleet most tests drive (read-mostly traffic)."""
-    gateway = GatewayProcess(model_paths[0], "--shards", "2")
+    """The shared gateway most tests drive (read-mostly traffic)."""
+    gateway = GatewayProcess(model_paths[0])
     yield gateway
     gateway.stop()
 
@@ -128,8 +128,6 @@ class TestLifecycle:
         assert status == 200
         assert payload["status"] == "ok"
         assert payload["detectors"] == ["served"]
-        assert payload["shards"] == 2
-        assert payload["live_shards"] == 2
 
     def test_window_monitor_stream_round_trips(self, fleet):
         status, payload = fleet.request(
@@ -179,9 +177,6 @@ class TestLifecycle:
         assert validate_text(text) == [], validate_text(text)
         assert "repro_gateway_requests_total" in text
         assert "repro_gateway_latency_s_bucket" in text
-        # the parent's crash accounting merges into the same scrape even
-        # when it is zero — the family must exist, not just on crashes
-        assert "repro_service_shard_crashes_total 0" in text
         assert 'repro_registry_versions{lineage="served"}' in text
         assert 'repro_registry_active_version{lineage="served"} 1' in text
 
@@ -359,8 +354,7 @@ class TestOverloadAndShutdown:
     @pytest.fixture()
     def tiny_gateway(self, model_paths):
         gateway = GatewayProcess(
-            model_paths[0],
-            "--shards", "1", "--queue-depth", "2", "--no-pump",
+            model_paths[0], "--queue-depth", "2", "--no-pump",
         )
         yield gateway
         gateway.stop()
@@ -435,5 +429,7 @@ class TestOverloadAndShutdown:
             "POST", "/v1/sessions/served/late/observe", {"window": WINDOW}
         )
         assert status == 503
-        # and /metrics still renders (from the parent's cached stats)
+        status, payload = tiny_gateway.request("GET", "/health")
+        assert (status, payload["status"]) == (200, "closed")
+        # and /metrics still renders (from the closed service's stats)
         assert validate_text(tiny_gateway.metrics()) == []

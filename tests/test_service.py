@@ -236,6 +236,14 @@ class TestShutdown:
         service.close()
         assert service.close() == 0
 
+    def test_closed_service_refuses_new_sessions(self, detector):
+        service = fresh_service(detector)
+        assert not service.closed
+        service.close()
+        assert service.closed
+        with pytest.raises(ServiceError, match="^service is closed$"):
+            service.open_session("svc", "late", "stream")
+
     def test_context_manager_drains_on_clean_exit(self, detector):
         with fresh_service(detector) as service:
             ticket = service.submit("svc", "s", window=make_windows(1)[0])

@@ -28,8 +28,6 @@ from repro.service import (
     Failed,
     Scored,
     ServiceConfig,
-    ShardConfig,
-    ShardedDetectionService,
     Streamed,
 )
 
@@ -313,42 +311,3 @@ class TestSessionsInFusedRounds:
                 isinstance(t.result(), Streamed)
                 for t in tickets[lane_index::2]
             )
-
-
-class TestShardedDrain:
-    def test_sharded_pump_matches_per_lane_pumps(self, fleet):
-        """The whole ServiceConfig travels to each worker, which drains
-        with the in-process scheduler — so one sharded ``pump()`` and a
-        ``pump(name)`` loop score the same bits as ``Detector.score``."""
-        window_sets = {
-            name: [
-                tuple(SYMBOLS[i] for i in rng.integers(0, 5, size=15))
-                for _ in range(6)
-            ]
-            for rng in [np.random.default_rng(23)]
-            for name in ("alpha", "beta")
-        }
-        results = {}
-        for fused in (True, False):
-            service = ShardedDetectionService(ServiceConfig(), ShardConfig(shards=1))
-            try:
-                for name, detector in fleet[:2]:
-                    service.register(name, detector, threshold=-2.0)
-                tickets = [
-                    (name, service.submit(name, "t", window=w))
-                    for name, ws in window_sets.items()
-                    for w in ws
-                ]
-                assert pump_round(service, fused) == len(tickets)
-            finally:
-                service.close()
-            results[fused] = [
-                (name, t.result(timeout=10).score) for name, t in tickets
-            ]
-        assert results[True] == results[False]
-        direct = [
-            (name, float(score))
-            for name, detector in fleet[:2]
-            for score in detector.score(window_sets[name])
-        ]
-        assert results[True] == direct
