@@ -25,7 +25,8 @@ Usage::
 
     python benchmarks/bench_em_kernels.py [--smoke] [--out BENCH_em.json]
 
-``--smoke`` shrinks repetitions (not shapes) for CI.
+``--smoke`` runs fewer EM iterations and scoring repetitions (same
+shapes) for CI; each EM side is still timed best-of-3.
 """
 
 from __future__ import annotations
@@ -254,7 +255,7 @@ def run(smoke: bool, out_path: Path) -> int:
     obs = _make_training_batch(rng)
     weights = np.ones(BATCH)
     iters = 2 if smoke else 5
-    reps = 1 if smoke else 3
+    reps = 3
 
     # -- bit-identity gates first: a fast kernel that computes the wrong
     # bits is a regression, not a win.

@@ -44,6 +44,21 @@ class ServiceError(ReproError):
     """The detection service was misconfigured or misused.
 
     Examples: submitting to an unregistered detector, reusing a session id
-    across incompatible modes, or submitting after shutdown.
+    across incompatible modes, or submitting after shutdown.  The three
+    subclasses below mark the cases a caller may want to tell apart by
+    type (the gateway maps them to 503 and 404); messages quote
+    caller-chosen ids, so they are no basis for that.
     """
+
+
+class ServiceClosedError(ServiceError):
+    """The service was closed and refuses further work."""
+
+
+class UnknownDetectorError(ServiceError):
+    """No detector is registered under the requested name."""
+
+
+class SessionNotOpenError(ServiceError):
+    """A symbol was submitted to a monitor/stream session that is not open."""
 

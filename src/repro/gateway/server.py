@@ -1,8 +1,9 @@
 """Async HTTP front end over the detection service + model registry.
 
-A deliberately minimal, dependency-free gateway: handwritten HTTP/1.1 over
-``asyncio.start_server`` (keep-alive, ``Content-Length`` framing, JSON
-bodies) feeding the existing **bounded admission queues** of
+A deliberately minimal, dependency-free gateway: handwritten HTTP/1.1 with
+one :class:`asyncio.Protocol` per connection (keep-alive, pipelining,
+``Content-Length`` framing, JSON bodies) feeding the existing **bounded
+admission queues** of
 :class:`~repro.service.service.DetectionService`.  The gateway adds no
 queueing of its own — backpressure is the service's typed
 :class:`~repro.service.outcomes.Overloaded` outcome, surfaced as HTTP 429
@@ -32,25 +33,41 @@ swap barrier), then in-flight sessions are rebound in place.  No session is
 dropped or gap-marked by an upgrade; ``tests/test_gateway_e2e.py`` proves
 this black-box against the CLI gateway.
 
-Event-loop discipline: every service call runs in ``asyncio.to_thread``
-(it takes the service lock a drain holds), so slow drains never stall the
-accept loop or other connections.  Outcomes are awaited on the loop
-itself: each ticket's done-callback settles a loop future from the
-draining thread, so a parked ``observe`` holds no executor thread and any
-number of them can wait without starving other routes.
+Event-loop discipline: each connection frames requests from its own
+buffer in ``data_received`` and serves them one at a time, so pipelined
+requests are answered in order.  ``observe`` calls ``service.submit``
+inline on the loop: ``submit`` holds the service lock only to enqueue, and
+a submitter that finds the lock busy goes next when the drain round in
+flight ends.  Each ticket's done-callback, in the draining thread, hands
+the outcome back with one ``call_soon_threadsafe`` whose callback writes
+the response, so an event costs one loop callback in and one out, and a
+parked ``observe`` holds no thread.  One ``call_later`` per request answers
+503 at ``result_timeout_s``.  Every other route runs in the default
+executor (``loop.run_in_executor``), because it can wait for or run a
+whole drain under the service lock, touch disk, or render the telemetry
+snapshot; its future's done-callback writes the response through the
+same writer.
 """
 
 from __future__ import annotations
 
 import asyncio
 import dataclasses
+import functools
+import itertools
 import json
 import threading
 import time
 from dataclasses import dataclass
+from urllib.parse import unquote
 
 from .. import telemetry
-from ..errors import ReproError, ServiceError
+from ..errors import (
+    ReproError,
+    ServiceClosedError,
+    SessionNotOpenError,
+    UnknownDetectorError,
+)
 from ..runtime.registry import ModelRegistry, RegistryError
 from ..service.fleet import rebuild_detector, resolve_model
 from ..service.outcomes import (
@@ -89,7 +106,8 @@ class GatewayConfig:
         result_timeout_s: how long ``observe`` waits for a ticket before
             answering 503; under a running pump this bounds a stuck drain,
             it is not a latency budget.
-        max_body_bytes: request bodies above this answer 413.
+        max_body_bytes: request bodies above this answer 413 (request
+            heads above 64 KiB answer 431).
         call_kind: trace alphabet for detectors rebuilt from registry
             activations (matches the fleet's training, default syscall).
     """
@@ -100,6 +118,9 @@ class GatewayConfig:
     max_body_bytes: int = 1 << 20
     call_kind: str = "syscall"
 
+
+#: Longest request line plus headers a connection buffers before 431.
+_HEAD_LIMIT = 1 << 16
 
 _REASONS = {
     200: "OK",
@@ -211,15 +232,320 @@ def _version_to_json(entry, active: int | None) -> dict:
     }
 
 
-def _service_error_status(exc: ServiceError) -> int:
-    # Match the closed message exactly: other messages quote caller-chosen
-    # ids, which may contain any word.
-    text = str(exc)
-    if text == "service is closed":
-        return 503
-    if text.startswith("no detector") or "is not open" in text:
-        return 404
-    return 400
+def _error_answer(exc: Exception) -> tuple[int, dict]:
+    """The status and body a failed request answers with, by error type."""
+    if isinstance(exc, _HTTPError):
+        return exc.status, {"error": exc.message}
+    if isinstance(exc, ServiceClosedError):
+        return 503, {"error": str(exc)}
+    if isinstance(exc, (UnknownDetectorError, SessionNotOpenError, RegistryError)):
+        return 404, {"error": str(exc)}
+    if isinstance(exc, ReproError):
+        return 400, {"error": str(exc)}
+    return 500, {"error": f"{type(exc).__name__}: {exc}"}
+
+
+def _parse_head(head: bytearray):
+    """``(method, target, version, headers, content_length)`` of one
+    request head; ``ValueError`` names what is malformed."""
+    lines = head.decode("latin-1").split("\r\n")
+    parts = lines[0].split(" ")
+    if len(parts) != 3:
+        raise ValueError(f"malformed request line {lines[0]!r}")
+    method, target, version = parts
+    if version not in ("HTTP/1.0", "HTTP/1.1"):
+        raise ValueError(f"unsupported HTTP version {version!r}")
+    headers: dict[str, str] = {}
+    for line in lines[1:]:
+        if not line:
+            continue
+        name, sep, value = line.partition(":")
+        if not sep:
+            raise ValueError(f"malformed header line {line!r}")
+        headers[name.strip().lower()] = value.strip()
+    if "transfer-encoding" in headers:
+        raise ValueError("Transfer-Encoding is not supported; send Content-Length")
+    try:
+        length = int(headers.get("content-length", "0"))
+    except ValueError:
+        length = -1
+    if length < 0:
+        raise ValueError("bad Content-Length")
+    return method.upper(), target, version, headers, length
+
+
+def _response(status: int, payload, keep_alive: bool) -> bytes:
+    """One HTTP/1.1 response: bytes go out as Prometheus text, the rest as
+    JSON."""
+    if isinstance(payload, bytes):
+        body = payload
+        content_type = "text/plain; version=0.0.4; charset=utf-8"
+    else:
+        body = json.dumps(payload).encode("utf-8")
+        content_type = "application/json"
+    head = (
+        f"HTTP/1.1 {status} {_REASONS.get(status, 'Unknown')}\r\n"
+        f"Content-Type: {content_type}\r\n"
+        f"Content-Length: {len(body)}\r\n"
+        f"Connection: {'keep-alive' if keep_alive else 'close'}\r\n"
+        "\r\n"
+    )
+    return head.encode("latin-1") + body
+
+
+class _Connection(asyncio.Protocol):
+    """One client connection: frames requests from its own buffer and
+    serves them one at a time, so answers go out in request order.
+
+    Reading pauses while the buffer holds more than one full request that
+    cannot be served yet, and serving pauses while the transport's write
+    buffer is full, so a client that pipelines without reading its answers
+    holds bounded memory.
+    """
+
+    def __init__(self, gateway: "DetectionGateway") -> None:
+        self.gateway = gateway
+        self.transport: asyncio.Transport | None = None
+        self.open = False  # answers can still be written
+        self.buffer = bytearray()
+        self.limit = _HEAD_LIMIT + 4 + gateway.config.max_body_bytes
+        self.busy = False  # a request is in flight; later ones wait
+        self.framing = False  # inside _next(): answers given there loop back
+        self.write_paused = False
+        self.eof = False  # the client half-closed; answer, then close
+        self.discard = 0  # declared body bytes of an oversize request left
+
+    def connection_made(self, transport) -> None:
+        self.transport = transport
+        self.open = True
+        self.gateway._connections.add(self)
+
+    def connection_lost(self, exc) -> None:
+        self.gateway._connections.discard(self)
+        self.open = False
+
+    def data_received(self, data: bytes) -> None:
+        self.buffer += data
+        if self.busy or self.write_paused:
+            if len(self.buffer) > self.limit:
+                self.transport.pause_reading()
+            return
+        self._next()
+
+    def eof_received(self) -> bool:
+        self.eof = True
+        self._next()
+        return True  # keep the write side open for the answers still due
+
+    def pause_writing(self) -> None:
+        self.write_paused = True
+
+    def resume_writing(self) -> None:
+        self.write_paused = False
+        self._next()
+
+    def respond(self, status: int, payload, keep_alive: bool) -> None:
+        """Write one answer, then close or serve the next buffered request.
+
+        A connection the client already closed drops the answer.
+        """
+        if not self.open:
+            return
+        self.transport.write(_response(status, payload, keep_alive))
+        if not keep_alive:
+            self.close()
+            return
+        self.busy = False
+        self._next()
+
+    def close(self) -> None:
+        if self.open:
+            self.open = False
+            self.transport.close()
+
+    def _refuse(self, status: int, message: str) -> None:
+        """Answer a request that cannot be framed, and close."""
+        self.respond(status, {"error": message}, False)
+
+    def _next(self) -> None:
+        """Serve buffered requests until one is in flight or none is whole."""
+        if self.framing:
+            return
+        self.framing = True
+        try:
+            while self.open and not (self.busy or self.write_paused) and self._frame():
+                pass
+        finally:
+            self.framing = False
+        if not self.open:
+            return
+        if self.eof and not self.busy:
+            self.close()
+        elif len(self.buffer) <= self.limit:
+            self.transport.resume_reading()
+
+    def _frame(self) -> bool:
+        """Take one request off the buffer and serve it; ``False`` when the
+        buffer holds no whole request."""
+        buffer = self.buffer
+        max_body = self.gateway.config.max_body_bytes
+        if self.discard:
+            taken = min(self.discard, len(buffer))
+            del buffer[:taken]
+            self.discard -= taken
+            if not self.discard:
+                self._refuse(413, f"body over {max_body} bytes")
+            return False
+        end = buffer.find(b"\r\n\r\n")
+        if end > _HEAD_LIMIT or (end < 0 and len(buffer) > _HEAD_LIMIT):
+            self._refuse(431, "headers too large")
+            return False
+        if end < 0:
+            return False
+        try:
+            method, target, version, headers, length = _parse_head(buffer[:end])
+        except ValueError as exc:
+            self._refuse(400, str(exc))
+            return False
+        start = end + 4
+        if length > max_body:
+            # Drain the declared body (bounded) before answering: closing
+            # with unread bytes in flight resets the connection, and the
+            # client dies on send() without ever seeing the 413.  Absurd
+            # declarations just get the close.
+            del buffer[:start]
+            if length > 4 * max_body:
+                self._refuse(413, f"body over {max_body} bytes")
+                return False
+            self.discard = length
+            return True
+        stop = start + length
+        if len(buffer) < stop:
+            return False
+        body = bytes(buffer[start:stop])
+        del buffer[:stop]
+        keep_alive = (
+            version == "HTTP/1.1"
+            and headers.get("connection", "").lower() != "close"
+        )
+        self.busy = True
+        self.gateway._serve(self, method, target, body, keep_alive)
+        return True
+
+
+class _Exchange:
+    """One request from its routing to its answer.
+
+    ``observe`` answers from ``_settle`` once every ticket resolved, or
+    from ``_expire`` at ``result_timeout_s``, whichever runs first; every
+    other route answers from ``finish``, its executor future's
+    done-callback.  All three run on the loop.
+    """
+
+    __slots__ = (
+        "gateway", "conn", "keep_alive", "started",
+        "outcomes", "resolved", "batch", "timer",
+    )
+
+    def __init__(self, gateway: "DetectionGateway", conn: _Connection,
+                 keep_alive: bool) -> None:
+        self.gateway = gateway
+        self.conn = conn
+        self.keep_alive = keep_alive
+        self.started = time.monotonic()
+        self.timer: asyncio.TimerHandle | None = None
+        gateway._inflight += 1
+        telemetry.counter_add("gateway.requests")
+        telemetry.gauge_set("gateway.inflight", gateway._inflight)
+
+    def answer(self, status: int, payload) -> None:
+        gateway = self.gateway
+        gateway._inflight -= 1
+        telemetry.gauge_set("gateway.inflight", gateway._inflight)
+        telemetry.counter_add(f"gateway.responses.{status // 100}xx")
+        telemetry.observe(
+            "gateway.latency_s",
+            time.monotonic() - self.started,
+            DEFAULT_SECONDS_BUCKETS,
+        )
+        self.conn.respond(status, payload, self.keep_alive)
+
+    def fail(self, exc: Exception) -> None:
+        self.answer(*_error_answer(exc))
+
+    def finish(self, future: asyncio.Future) -> None:
+        try:
+            payload = future.result()
+        except Exception as exc:  # noqa: BLE001 - every failure is an answer
+            self.fail(exc)
+            return
+        self.answer(200, payload)
+
+    def await_tickets(self, tickets: list, batch: bool) -> None:
+        """Answer once every ticket resolves; ``batch`` answers a list."""
+        self.outcomes = [None] * len(tickets)
+        self.resolved = itertools.count(1)
+        self.batch = batch
+        loop = self.gateway._loop
+        self.timer = loop.call_later(
+            self.gateway.config.result_timeout_s, self._expire
+        )
+        for index, ticket in enumerate(tickets):
+            ticket.add_done_callback(functools.partial(self._on_done, index))
+
+    def _on_done(self, index: int, outcome) -> None:
+        # Runs in the thread that resolved the ticket.  next() on a count
+        # is one atomic step, so exactly one ticket sees the last number
+        # and hands the answer to the loop.
+        self.outcomes[index] = outcome
+        if next(self.resolved) == len(self.outcomes):
+            try:
+                self.gateway._loop.call_soon_threadsafe(self._settle)
+            except RuntimeError:
+                pass  # the gateway stopped; nobody awaits this outcome
+
+    def _settle(self) -> None:
+        if self.timer is None:
+            return  # answered 503 at the timeout; the outcome is dropped
+        self.timer.cancel()
+        self.timer = None
+        outcomes = self.outcomes
+        status = max(map(outcome_status, outcomes))
+        if self.batch:
+            payload = {"results": [outcome_to_json(o) for o in outcomes]}
+        else:
+            payload = outcome_to_json(outcomes[0])
+        self.answer(status, payload)
+
+    def _expire(self) -> None:
+        # The tickets stay queued: a later drain still resolves each one
+        # exactly once, and _settle then finds the request answered.
+        self.timer = None
+        timeout = self.gateway.config.result_timeout_s
+        self.answer(
+            503, {"error": f"no outcome within {timeout}s (is the pump running?)"}
+        )
+
+
+def _require(method: str, expected: str) -> None:
+    if method != expected:
+        raise _HTTPError(405, f"use {expected}, not {method}")
+
+
+def _json(body: bytes) -> dict:
+    if not body:
+        raise _HTTPError(400, "a JSON body is required")
+    try:
+        payload = json.loads(body)
+    except json.JSONDecodeError as exc:
+        raise _HTTPError(400, f"invalid JSON body: {exc}") from None
+    if not isinstance(payload, dict):
+        raise _HTTPError(400, "the JSON body must be an object")
+    return payload
+
+
+def _strings(value) -> bool:
+    return isinstance(value, list) and all(isinstance(s, str) for s in value)
 
 
 class DetectionGateway:
@@ -244,6 +570,7 @@ class DetectionGateway:
         self.port: int | None = None
         self._t0 = time.monotonic()
         self._inflight = 0
+        self._connections: set[_Connection] = set()
         self._thread: threading.Thread | None = None
         self._loop: asyncio.AbstractEventLoop | None = None
         self._shutdown: asyncio.Event | None = None
@@ -290,7 +617,8 @@ class DetectionGateway:
             )
 
     def stop(self) -> None:
-        """Stop accepting, close the loop, join the thread (idempotent)."""
+        """Stop accepting, close every connection, close the loop, join the
+        thread (idempotent)."""
         thread = self._thread
         if thread is None:
             return
@@ -316,11 +644,12 @@ class DetectionGateway:
             self._ready.set()
 
     async def _main(self) -> None:
-        self._loop = asyncio.get_running_loop()
+        loop = asyncio.get_running_loop()
+        self._loop = loop
         self._shutdown = asyncio.Event()
         try:
-            server = await asyncio.start_server(
-                self._handle_connection, self.config.host, self.config.port
+            server = await loop.create_server(
+                lambda: _Connection(self), self.config.host, self.config.port
             )
         except OSError as exc:
             self._startup_error = exc
@@ -328,223 +657,109 @@ class DetectionGateway:
             return
         self.port = server.sockets[0].getsockname()[1]
         self._ready.set()
-        async with server:
+        try:
             await self._shutdown.wait()
-
-    # ------------------------------------------------------------------
-    # HTTP plumbing
-    # ------------------------------------------------------------------
-    async def _handle_connection(self, reader, writer) -> None:
-        try:
-            while True:
-                try:
-                    head = await reader.readuntil(b"\r\n\r\n")
-                except asyncio.IncompleteReadError:
-                    break  # client went away between requests
-                except asyncio.LimitOverrunError:
-                    await self._respond(
-                        writer, 431, {"error": "headers too large"}, False
-                    )
-                    break
-                try:
-                    method, path, version, headers = self._parse_head(head)
-                except ValueError as exc:
-                    await self._respond(writer, 400, {"error": str(exc)}, False)
-                    break
-                try:
-                    length = int(headers.get("content-length", "0"))
-                except ValueError:
-                    await self._respond(
-                        writer, 400, {"error": "bad Content-Length"}, False
-                    )
-                    break
-                if length > self.config.max_body_bytes:
-                    # Drain the declared body (bounded) before answering:
-                    # closing with unread bytes in flight RSTs the socket
-                    # and the client dies on send() without ever seeing
-                    # the 413.  Absurd declarations just get the close.
-                    remaining = length
-                    if length <= 4 * self.config.max_body_bytes:
-                        while remaining:
-                            chunk = await reader.read(min(65536, remaining))
-                            if not chunk:
-                                break
-                            remaining -= len(chunk)
-                    await self._respond(
-                        writer,
-                        413,
-                        {"error": f"body over {self.config.max_body_bytes} bytes"},
-                        False,
-                    )
-                    break
-                body = await reader.readexactly(length) if length else b""
-                keep_alive = (
-                    version == "HTTP/1.1"
-                    and headers.get("connection", "").lower() != "close"
-                )
-                status, payload, raw = await self._serve(method, path, body)
-                await self._respond(writer, status, payload, keep_alive, raw)
-                if not keep_alive:
-                    break
-        except (ConnectionResetError, BrokenPipeError, asyncio.IncompleteReadError):
-            pass
-        except asyncio.CancelledError:
-            # Loop shutdown cancels live connection tasks; finishing
-            # normally here keeps asyncio.run's teardown quiet (the
-            # connection is closed below either way).
-            pass
         finally:
-            writer.close()
-            try:
-                await writer.wait_closed()
-            except (ConnectionResetError, BrokenPipeError, OSError):
-                pass
-            except asyncio.CancelledError:
-                # Teardown can cancel the wait itself; the transport is
-                # already closing, so swallowing keeps shutdown quiet.
-                pass
-
-    @staticmethod
-    def _parse_head(head: bytes):
-        try:
-            text = head.decode("latin-1")
-        except UnicodeDecodeError as exc:  # pragma: no cover - latin-1 total
-            raise ValueError("undecodable request head") from exc
-        lines = text.split("\r\n")
-        parts = lines[0].split(" ")
-        if len(parts) != 3:
-            raise ValueError(f"malformed request line {lines[0]!r}")
-        method, target, version = parts
-        if version not in ("HTTP/1.0", "HTTP/1.1"):
-            raise ValueError(f"unsupported HTTP version {version!r}")
-        headers: dict[str, str] = {}
-        for line in lines[1:]:
-            if not line:
-                continue
-            name, sep, value = line.partition(":")
-            if not sep:
-                raise ValueError(f"malformed header line {line!r}")
-            headers[name.strip().lower()] = value.strip()
-        return method.upper(), target, version, headers
-
-    async def _respond(
-        self, writer, status: int, payload, keep_alive: bool, raw: bytes | None = None
-    ) -> None:
-        if raw is not None:
-            body = raw
-            content_type = "text/plain; version=0.0.4; charset=utf-8"
-        else:
-            body = json.dumps(payload).encode("utf-8")
-            content_type = "application/json"
-        reason = _REASONS.get(status, "Unknown")
-        head = (
-            f"HTTP/1.1 {status} {reason}\r\n"
-            f"Content-Type: {content_type}\r\n"
-            f"Content-Length: {len(body)}\r\n"
-            f"Connection: {'keep-alive' if keep_alive else 'close'}\r\n"
-            "\r\n"
-        ).encode("latin-1")
-        writer.write(head + body)
-        await writer.drain()
+            server.close()
+            # Server.close() only stops accepting: connections already
+            # accepted stay open, idle keep-alive ones included.  Abort
+            # rather than close: a client that stopped reading would
+            # otherwise keep its transport flushing, and (on 3.12+)
+            # wait_closed() waiting for it.
+            for conn in list(self._connections):
+                conn.transport.abort()
+            await server.wait_closed()
+            await asyncio.sleep(0)  # run the closed transports' teardown
 
     # ------------------------------------------------------------------
     # Routing
     # ------------------------------------------------------------------
-    async def _serve(self, method: str, target: str, body: bytes):
-        """Dispatch one request; returns ``(status, payload, raw_bytes)``."""
-        started = time.monotonic()
-        self._inflight += 1
-        telemetry.counter_add("gateway.requests")
-        telemetry.gauge_set("gateway.inflight", self._inflight)
-        raw: bytes | None = None
+    def _serve(self, conn: _Connection, method: str, target: str,
+               body: bytes, keep_alive: bool) -> None:
+        """Route one framed request; it answers through its exchange."""
+        exchange = _Exchange(self, conn, keep_alive)
         try:
-            status, payload, raw = await self._route(method, target, body)
-        except _HTTPError as exc:
-            status, payload = exc.status, {"error": exc.message}
-        except RegistryError as exc:
-            status, payload = 404, {"error": str(exc)}
-        except ServiceError as exc:
-            status, payload = _service_error_status(exc), {"error": str(exc)}
-        except ReproError as exc:
-            status, payload = 400, {"error": str(exc)}
-        except Exception as exc:  # noqa: BLE001 - last-resort 500
-            status, payload = 500, {"error": f"{type(exc).__name__}: {exc}"}
-        finally:
-            self._inflight -= 1
-            telemetry.gauge_set("gateway.inflight", self._inflight)
-        telemetry.counter_add(f"gateway.responses.{status // 100}xx")
-        telemetry.observe(
-            "gateway.latency_s",
-            time.monotonic() - started,
-            DEFAULT_SECONDS_BUCKETS,
-        )
-        return status, payload, raw
+            self._route(exchange, method, target, body)
+        except Exception as exc:  # noqa: BLE001 - every failure is an answer
+            exchange.fail(exc)
 
-    async def _route(self, method: str, target: str, body: bytes):
+    def _route(self, exchange: _Exchange, method: str, target: str,
+               body: bytes) -> None:
         path = target.split("?", 1)[0]
-        parts = tuple(p for p in path.split("/") if p)
+        parts = tuple(unquote(p) for p in path.split("/") if p)
 
-        if parts == ("health",):
-            self._require(method, "GET")
-            return 200, await asyncio.to_thread(self._health), None
-        if parts == ("metrics",):
-            self._require(method, "GET")
-            text = await asyncio.to_thread(self._metrics_text)
-            return 200, None, text.encode("utf-8")
-        if parts == ("v1", "sessions"):
-            self._require(method, "POST")
-            return await self._open_session(self._json(body))
         if len(parts) == 5 and parts[:2] == ("v1", "sessions") and parts[4] == "observe":
-            self._require(method, "POST")
-            return await self._observe(parts[2], parts[3], self._json(body))
+            _require(method, "POST")
+            return self._observe(exchange, parts[2], parts[3], _json(body))
+        if parts == ("health",):
+            _require(method, "GET")
+            return self._offload(exchange, self._health)
+        if parts == ("metrics",):
+            _require(method, "GET")
+            return self._offload(exchange, self._metrics)
+        if parts == ("v1", "sessions"):
+            _require(method, "POST")
+            return self._offload(exchange, self._open_session, _json(body))
         if len(parts) == 4 and parts[:2] == ("v1", "sessions"):
-            self._require(method, "DELETE")
-            return await self._close_session(parts[2], parts[3])
+            _require(method, "DELETE")
+            return self._offload(exchange, self._close_session, parts[2], parts[3])
         if parts == ("v1", "registry"):
-            self._require(method, "GET")
-            return 200, await asyncio.to_thread(self._registry_index), None
+            _require(method, "GET")
+            return self._offload(exchange, self._registry_index)
         if len(parts) == 4 and parts[:2] == ("v1", "registry"):
-            self._require(method, "POST")
+            _require(method, "POST")
             lineage, action = parts[2], parts[3]
             if action == "publish":
-                return await self._publish(lineage, self._json(body))
+                return self._offload(exchange, self._publish, lineage, _json(body))
             if action == "rollout":
-                return await self._rollout(lineage, self._json(body))
+                return self._offload(exchange, self._rollout, lineage, _json(body))
             if action == "rollback":
-                return await self._rollback(lineage)
+                return self._offload(exchange, self._rollback, lineage)
             raise _HTTPError(404, f"unknown registry action {action!r}")
         if parts == ("v1", "admin", "pump"):
-            self._require(method, "POST")
-            resolved = await asyncio.to_thread(self.service.pump)
-            return 200, {"resolved": resolved}, None
+            _require(method, "POST")
+            return self._offload(exchange, self._pump)
         if parts == ("v1", "admin", "close"):
-            self._require(method, "POST")
-            payload = self._json(body) if body else {}
-            drain = bool(payload.get("drain", True))
-            handled = await asyncio.to_thread(self.service.close, drain)
-            return 200, {"handled": handled, "drain": drain}, None
+            _require(method, "POST")
+            return self._offload(exchange, self._close, _json(body) if body else {})
         raise _HTTPError(404, f"no route for {path!r}")
 
-    @staticmethod
-    def _require(method: str, expected: str) -> None:
-        if method != expected:
-            raise _HTTPError(405, f"use {expected}, not {method}")
-
-    @staticmethod
-    def _json(body: bytes) -> dict:
-        if not body:
-            raise _HTTPError(400, "a JSON body is required")
-        try:
-            payload = json.loads(body)
-        except json.JSONDecodeError as exc:
-            raise _HTTPError(400, f"invalid JSON body: {exc}") from None
-        if not isinstance(payload, dict):
-            raise _HTTPError(400, "the JSON body must be an object")
-        return payload
+    def _offload(self, exchange: _Exchange, handler, *args) -> None:
+        """Run ``handler(*args)`` in the default executor; its return value
+        is the 200 answer, its exception the error answer."""
+        future = self._loop.run_in_executor(None, handler, *args)
+        future.add_done_callback(exchange.finish)
 
     # ------------------------------------------------------------------
     # Handlers
     # ------------------------------------------------------------------
+    def _observe(self, exchange: _Exchange, detector: str, session_id: str,
+                 payload: dict) -> None:
+        window = payload.get("window")
+        symbol = payload.get("symbol")
+        symbols = payload.get("symbols")
+        given = [x for x in (window, symbol, symbols) if x is not None]
+        if len(given) != 1:
+            raise _HTTPError(
+                400, "give exactly one of window, symbol, or symbols"
+            )
+        submit = self.service.submit
+        if window is not None:
+            if not _strings(window):
+                raise _HTTPError(400, "window must be a list of strings")
+            tickets = [submit(detector, session_id, window=window)]
+        elif symbol is not None:
+            if not isinstance(symbol, str):
+                raise _HTTPError(400, "symbol must be a string")
+            tickets = [submit(detector, session_id, symbol=symbol)]
+        else:
+            if not _strings(symbols):
+                raise _HTTPError(400, "symbols must be a list of strings")
+            if not symbols:
+                raise _HTTPError(400, "symbols must not be empty")
+            tickets = [submit(detector, session_id, symbol=s) for s in symbols]
+        exchange.await_tickets(tickets, batch=symbols is not None)
+
     def _health(self) -> dict:
         return {
             "status": "closed" if self.service.closed else "ok",
@@ -554,16 +769,16 @@ class DetectionGateway:
             "pending": self.service.pending,
         }
 
-    def _metrics_text(self) -> str:
+    def _metrics(self) -> bytes:
         snap = telemetry.snapshot() if telemetry.enabled() else None
         stats = self.service.stats.as_dict()
         extra = {
             "gateway.uptime_seconds": time.monotonic() - self._t0,
             "gateway.inflight_requests": self._inflight,
         }
-        return render_prometheus(snap, stats, extra)
+        return render_prometheus(snap, stats, extra).encode("utf-8")
 
-    async def _open_session(self, payload: dict):
+    def _open_session(self, payload: dict) -> dict:
         detector = payload.get("detector")
         session_id = payload.get("session")
         mode = payload.get("mode", "window")
@@ -571,103 +786,12 @@ class DetectionGateway:
             raise _HTTPError(400, "detector and session must be strings")
         if mode not in ("window", "monitor", "stream"):
             raise _HTTPError(400, f"unknown mode {mode!r}")
-        session = await asyncio.to_thread(
-            self.service.open_session, detector, session_id, mode
-        )
-        return (
-            200,
-            {
-                "detector": detector,
-                "session": session_id,
-                "mode": session.mode.value,
-            },
-            None,
-        )
+        session = self.service.open_session(detector, session_id, mode)
+        return {"detector": detector, "session": session_id, "mode": session.mode.value}
 
-    async def _close_session(self, detector: str, session_id: str):
-        existed = await asyncio.to_thread(
-            self.service.close_session, detector, session_id
-        )
-        return 200, {"detector": detector, "session": session_id, "closed": existed}, None
-
-    async def _observe(self, detector: str, session_id: str, payload: dict):
-        window = payload.get("window")
-        symbol = payload.get("symbol")
-        symbols = payload.get("symbols")
-        given = [x for x in (window, symbol, symbols) if x is not None]
-        if len(given) != 1:
-            raise _HTTPError(
-                400, "give exactly one of window, symbol, or symbols"
-            )
-        if window is not None:
-            if not isinstance(window, list) or not all(
-                isinstance(s, str) for s in window
-            ):
-                raise _HTTPError(400, "window must be a list of strings")
-            tickets = [
-                await asyncio.to_thread(
-                    self.service.submit, detector, session_id, window=window
-                )
-            ]
-        elif symbol is not None:
-            if not isinstance(symbol, str):
-                raise _HTTPError(400, "symbol must be a string")
-            tickets = [
-                await asyncio.to_thread(
-                    self.service.submit, detector, session_id, symbol=symbol
-                )
-            ]
-        else:
-            if not isinstance(symbols, list) or not all(
-                isinstance(s, str) for s in symbols
-            ):
-                raise _HTTPError(400, "symbols must be a list of strings")
-            if not symbols:
-                raise _HTTPError(400, "symbols must not be empty")
-            tickets = []
-            for item in symbols:
-                tickets.append(
-                    await asyncio.to_thread(
-                        self.service.submit, detector, session_id, symbol=item
-                    )
-                )
-        outcomes = [await self._outcome_of(ticket) for ticket in tickets]
-        status = max(outcome_status(o) for o in outcomes)
-        if symbols is not None:
-            return status, {"results": [outcome_to_json(o) for o in outcomes]}, None
-        return status, outcome_to_json(outcomes[0]), None
-
-    async def _outcome_of(self, ticket):
-        """Await one ticket on the event loop, without parking a thread.
-
-        The ticket's done-callback runs in the draining thread and hands
-        the outcome over with ``call_soon_threadsafe``.  A timeout answers
-        503 and leaves the ticket alone: a later drain still resolves it
-        exactly once, and the late hand-off is a no-op on the cancelled
-        future (or on a loop that has since closed).
-        """
-        loop = asyncio.get_running_loop()
-        future = loop.create_future()
-
-        def settle(outcome) -> None:
-            if not future.done():
-                future.set_result(outcome)
-
-        def on_done(outcome) -> None:
-            try:
-                loop.call_soon_threadsafe(settle, outcome)
-            except RuntimeError:
-                pass  # the gateway stopped; nobody awaits this outcome
-
-        ticket.add_done_callback(on_done)
-        try:
-            return await asyncio.wait_for(future, self.config.result_timeout_s)
-        except asyncio.TimeoutError:
-            raise _HTTPError(
-                503,
-                f"no outcome within {self.config.result_timeout_s}s "
-                "(is the pump running?)",
-            ) from None
+    def _close_session(self, detector: str, session_id: str) -> dict:
+        existed = self.service.close_session(detector, session_id)
+        return {"detector": detector, "session": session_id, "closed": existed}
 
     def _registry_index(self) -> dict:
         lineages = {}
@@ -679,7 +803,7 @@ class DetectionGateway:
             }
         return {"lineages": lineages, "detectors": sorted(self.service.detectors)}
 
-    async def _publish(self, lineage: str, payload: dict):
+    def _publish(self, lineage: str, payload: dict) -> dict:
         path = payload.get("path")
         cache_key = payload.get("cache_key")
         if (path is None) == (cache_key is None):
@@ -693,25 +817,26 @@ class DetectionGateway:
         metadata = payload.get("metadata") or {}
         if not isinstance(metadata, dict):
             raise _HTTPError(400, "metadata must be an object")
+        model = resolve_model(source, cache=self.registry.cache)
+        entry = self.registry.publish(
+            lineage, model, metadata=metadata, activate=activate
+        )
+        return _version_to_json(entry, self.registry.active_version(lineage))
 
-        def publish():
-            model = resolve_model(source, cache=self.registry.cache)
-            entry = self.registry.publish(
-                lineage, model, metadata=metadata, activate=activate
-            )
-            return entry
-
-        entry = await asyncio.to_thread(publish)
-        active = self.registry.active_version(lineage)
-        return 200, _version_to_json(entry, active), None
-
-    async def _rollout(self, lineage: str, payload: dict):
+    def _rollout(self, lineage: str, payload: dict) -> dict:
         version = payload.get("version")
         if not isinstance(version, int):
             raise _HTTPError(400, "rollout needs an integer version")
-        entry = await asyncio.to_thread(self.registry.rollout, lineage, version)
-        return 200, _version_to_json(entry, entry.version), None
+        entry = self.registry.rollout(lineage, version)
+        return _version_to_json(entry, entry.version)
 
-    async def _rollback(self, lineage: str):
-        entry = await asyncio.to_thread(self.registry.rollback, lineage)
-        return 200, _version_to_json(entry, entry.version), None
+    def _rollback(self, lineage: str) -> dict:
+        entry = self.registry.rollback(lineage)
+        return _version_to_json(entry, entry.version)
+
+    def _pump(self) -> dict:
+        return {"resolved": self.service.pump()}
+
+    def _close(self, payload: dict) -> dict:
+        drain = bool(payload.get("drain", True))
+        return {"handled": self.service.close(drain), "drain": drain}

@@ -20,7 +20,10 @@ Two deployment shapes:
   the loop survives scoring errors (a crashed drain resolves its tickets
   ``Failed`` and keeps going).  ``submit`` never waits for a *future*
   batch, but it does share one service lock with the drain, so a producer
-  can block for up to one in-flight micro-batch's forward pass.
+  can block for up to one in-flight micro-batch's forward pass: a producer
+  that finds the lock busy waits at a gate the drain loop passes before
+  each round, so it goes next instead of losing the lock to the loop's
+  next round.
   :meth:`close` stops the loop and (by default) gracefully drains
   everything still queued.
 """
@@ -35,7 +38,13 @@ from typing import Mapping, Sequence
 
 from .. import telemetry
 from ..core.detector import Detector
-from ..errors import NotFittedError, ServiceError
+from ..errors import (
+    NotFittedError,
+    ServiceClosedError,
+    ServiceError,
+    SessionNotOpenError,
+    UnknownDetectorError,
+)
 from ..hmm.model import HiddenMarkovModel
 from .config import ServiceConfig
 from .outcomes import Overloaded, ShedReason, Ticket
@@ -131,6 +140,12 @@ class DetectionService:
         self._sessions: dict[tuple[str, str], Session] = {}
         self._scheduler = MicroBatchScheduler(self.config, clock)
         self._lock = threading.RLock()
+        # The lock is not fair: the drain loop releases it and takes it
+        # back for its next round before a woken waiter runs, so a
+        # submitter could wait out a whole backlog.  A submitter that finds
+        # the lock busy waits for it holding this gate, and the drain loop
+        # passes the gate before each round, so the waiter goes first.
+        self._gate = threading.Lock()
         self._closed = False
         self._thread: threading.Thread | None = None
         self._stop = threading.Event()
@@ -170,8 +185,7 @@ class DetectionService:
                 "(n-gram/ensemble baselines are not servable)"
             )
         with self._lock:
-            if self._closed:
-                raise ServiceError("service is closed")
+            self._require_open()
             if name in self._lanes:
                 raise ServiceError(f"detector {name!r} already registered")
             self._lanes[name] = DetectorLane(
@@ -217,8 +231,7 @@ class DetectionService:
                 "(n-gram/ensemble baselines are not servable)"
             )
         with self._lock:
-            if self._closed:
-                raise ServiceError("service is closed")
+            self._require_open()
             lane = self._lane(name)
             drained = 0
             while lane.queue:
@@ -257,8 +270,7 @@ class DetectionService:
         lane = self._lane(detector)
         key = (detector, session_id)
         with self._lock:
-            if self._closed:
-                raise ServiceError("service is closed")
+            self._require_open()
             existing = self._sessions.get(key)
             if existing is not None:
                 if existing.mode is not mode:
@@ -287,6 +299,7 @@ class DetectionService:
         """
         self._lane(detector)  # unknown detector raises, mirroring open
         with self._lock:
+            self._require_open()
             return self._sessions.pop((detector, session_id), None) is not None
 
     def note_gap(self, detector: str, session_id: str, count: int = 1) -> None:
@@ -303,6 +316,7 @@ class DetectionService:
             raise ServiceError("note_gap count must be >= 1")
         lane = self._lane(detector)
         with self._lock:
+            self._require_open()
             session = self._sessions.get((detector, session_id))
             if session is None or session.mode is SessionMode.WINDOW:
                 raise ServiceError(
@@ -339,14 +353,14 @@ class DetectionService:
         if (window is None) == (symbol is None):
             raise ServiceError("submit takes exactly one of window= or symbol=")
         lane = self._lane(detector)
-        with self._lock:
-            if self._closed:
-                raise ServiceError("service is closed")
+        self._lock_in_turn()
+        try:
+            self._require_open()
             key = (detector, session_id)
             session = self._sessions.get(key)
             if session is None:
                 if symbol is not None:
-                    raise ServiceError(
+                    raise SessionNotOpenError(
                         f"session {session_id!r} on {detector!r} is not open; "
                         "open_session(..., mode='monitor'|'stream') before "
                         "submitting symbols"
@@ -382,6 +396,8 @@ class DetectionService:
                 self.stats.count_shed(reason)
             self.stats.max_depth_seen = max(self.stats.max_depth_seen, lane.depth)
             telemetry.gauge_set(f"service.queue.depth.{detector}", lane.depth)
+        finally:
+            self._lock.release()
         self._wake.set()
         return ticket
 
@@ -398,6 +414,7 @@ class DetectionService:
         ``Detector.score`` whichever lanes share the round.
         """
         with self._lock:
+            self._require_open()
             lanes = (
                 [self._lane(detector)]
                 if detector is not None
@@ -430,8 +447,7 @@ class DetectionService:
     def start(self) -> None:
         """Launch the background drain loop (idempotent)."""
         with self._lock:
-            if self._closed:
-                raise ServiceError("service is closed")
+            self._require_open()
             if self._thread is not None:
                 return
             self._stop.clear()
@@ -449,6 +465,8 @@ class DetectionService:
             self._wake.clear()
             if self._stop.is_set():
                 return
+            with self._gate:
+                self._lock.acquire()
             try:
                 resolved = self.pump()
             except Exception:
@@ -458,6 +476,8 @@ class DetectionService:
                 log.exception("service drain loop: drain crashed; continuing")
                 telemetry.counter_add("service.drain_errors")
                 continue
+            finally:
+                self._lock.release()
             if resolved == 0:
                 self._wake.wait()
 
@@ -525,7 +545,22 @@ class DetectionService:
     def _lane(self, name: str) -> DetectorLane:
         lane = self._lanes.get(name)
         if lane is None:
-            raise ServiceError(
+            raise UnknownDetectorError(
                 f"no detector {name!r} registered; have {sorted(self._lanes)}"
             )
         return lane
+
+    def _require_open(self) -> None:
+        if self._closed:
+            raise ServiceClosedError("service is closed")
+
+    def _lock_in_turn(self) -> None:
+        """Take the service lock, waiting at the gate when it is busy.
+
+        The first try also succeeds when this thread already holds the
+        lock (a done-callback that submits from inside a drain), which
+        must not queue at a gate another waiter holds.
+        """
+        if not self._lock.acquire(blocking=False):
+            with self._gate:
+                self._lock.acquire()

@@ -7,19 +7,25 @@ this file tests the pieces in-process where failures are debuggable.
 
 from __future__ import annotations
 
+import contextlib
 import http.client
 import importlib.util
 import json
+import logging
 import math
 import os
+import socket
+import struct
 import threading
 import time
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import pytest
 
 from repro import telemetry
 from repro.core.detector import PretrainedDetector
+from repro.core.streaming import StreamingScorer
 from repro.errors import ReproError
 from repro.gateway import (
     DetectionGateway,
@@ -335,6 +341,51 @@ def _request(gateway, method, path, body=None):
         conn.close()
 
 
+def _http(method, path, body=b"", *, length=None, version="HTTP/1.1",
+          headers=b""):
+    """Raw bytes of one request (``length`` overrides Content-Length)."""
+    length = len(body) if length is None else length
+    return (
+        f"{method} {path} {version}\r\nContent-Length: {length}\r\n".encode()
+        + headers + b"\r\n" + body
+    )
+
+
+def _observe_bytes(session, payload):
+    return _http(
+        "POST", f"/v1/sessions/served/{session}/observe",
+        json.dumps(payload).encode(),
+    )
+
+
+@contextlib.contextmanager
+def _raw_connection(gateway):
+    """A plain socket to the gateway and a buffered reader over it."""
+    sock = socket.create_connection(("127.0.0.1", gateway.port), timeout=10)
+    stream = sock.makefile("rb")
+    try:
+        yield sock, stream
+    finally:
+        stream.close()
+        sock.close()
+
+
+def _read_response(stream):
+    """``(status, headers, body)`` of the next response, ``None`` at EOF."""
+    line = stream.readline()
+    if not line:
+        return None
+    status = int(line.split()[1])
+    headers = {}
+    for line in iter(stream.readline, b"\r\n"):
+        name, _, value = line.decode("latin-1").partition(":")
+        headers[name.strip().lower()] = value.strip()
+    body = stream.read(int(headers["content-length"]))
+    if headers["content-type"] == "application/json":
+        body = json.loads(body)
+    return status, headers, body
+
+
 class TestGatewayHTTP:
     def test_health(self, gateway_stack):
         gateway, *_ = gateway_stack
@@ -414,14 +465,21 @@ class TestGatewayHTTP:
         assert status == 400
 
     def test_body_over_limit_413(self, gateway_stack):
+        # The answer waits until the declared body is drained: closing
+        # with unread bytes in flight would reset the connection instead.
         gateway, *_ = gateway_stack
-        conn = http.client.HTTPConnection("127.0.0.1", gateway.port, timeout=10)
-        try:
-            big = b"x" * (gateway.config.max_body_bytes + 1)
-            conn.request("POST", "/v1/sessions", body=big)
-            assert conn.getresponse().status == 413
-        finally:
-            conn.close()
+        size = gateway.config.max_body_bytes + 1
+        head = _http("POST", "/v1/sessions", length=size)
+        with _raw_connection(gateway) as (sock, stream):
+            sock.sendall(head + b"x" * (size // 2))
+            sock.settimeout(0.3)
+            with pytest.raises(socket.timeout):
+                sock.recv(1, socket.MSG_PEEK)
+            sock.settimeout(10)
+            sock.sendall(b"x" * (size - size // 2))
+            status, headers, _ = _read_response(stream)
+            assert (status, headers["connection"]) == (413, "close")
+            assert _read_response(stream) is None
 
     def test_keep_alive_reuses_one_connection(self, gateway_stack):
         gateway, *_ = gateway_stack
@@ -470,7 +528,6 @@ class TestGatewayHTTP:
 
     def test_rollout_swaps_served_model(self, gateway_stack, tmp_path):
         gateway, service, registry, model = gateway_stack
-        from repro.core.streaming import StreamingScorer
         from repro.hmm import save_model
 
         other = random_model(SYMBOLS, n_states=3, seed=7)
@@ -516,6 +573,11 @@ class TestGatewayHTTP:
 
     def test_admin_close_then_503(self, gateway_stack):
         gateway, *_ = gateway_stack
+        status, _ = _request(
+            gateway, "POST", "/v1/sessions",
+            {"detector": "served", "session": "mon", "mode": "monitor"},
+        )
+        assert status == 200
         status, payload = _request(
             gateway, "POST", "/v1/admin/close", {"drain": True}
         )
@@ -524,6 +586,10 @@ class TestGatewayHTTP:
             gateway, "POST", "/v1/sessions/served/w9/observe",
             {"window": ["open", "read", "write", "close", "read"]},
         )
+        assert status == 503
+        status, _ = _request(gateway, "POST", "/v1/admin/pump", {})
+        assert status == 503
+        status, _ = _request(gateway, "DELETE", "/v1/sessions/served/mon")
         assert status == 503
 
     @pytest.mark.parametrize("session", ["open-tab", "closed-tab"])
@@ -536,6 +602,32 @@ class TestGatewayHTTP:
             {"symbol": "read"},
         )
         assert status == 404, payload
+
+    @pytest.mark.parametrize("session", ["tab", "is not open"])
+    def test_mode_mismatch_is_400_whatever_the_session_id(
+        self, gateway_stack, session
+    ):
+        gateway, *_ = gateway_stack
+        opened = {"detector": "served", "session": session, "mode": "monitor"}
+        assert _request(gateway, "POST", "/v1/sessions", opened)[0] == 200
+        status, payload = _request(
+            gateway, "POST", "/v1/sessions", {**opened, "mode": "stream"}
+        )
+        assert status == 400, payload
+
+    def test_percent_encoded_path_segments_are_decoded(self, gateway_stack):
+        gateway, *_ = gateway_stack
+        opened = {"detector": "served", "session": "is not open", "mode": "monitor"}
+        assert _request(gateway, "POST", "/v1/sessions", opened)[0] == 200
+        path = "/v1/sessions/served/is%20not%20open/observe"
+        status, payload = _request(
+            gateway, "POST", path, {"window": ["open", "read"]}
+        )
+        assert status == 400, payload  # a monitor session takes symbols
+        status, payload = _request(gateway, "POST", path, {"symbol": "open"})
+        assert (status, payload["kind"], payload["session"]) == (
+            200, "absorbed", "is not open"
+        )
 
     def test_unknown_detector_named_unclosed_404(self, gateway_stack):
         gateway, *_ = gateway_stack
@@ -619,3 +711,218 @@ class TestParkedObserves:
             gateway.stop()
             for client in clients:
                 client.join(timeout=30)
+
+
+class TestWireFraming:
+    """HTTP/1.1 framing as the connection protocol sees it on the wire."""
+
+    def test_pipelined_requests_are_answered_in_order(self, gateway_stack):
+        gateway, _, _, model = gateway_stack
+        _request(
+            gateway, "POST", "/v1/sessions",
+            {"detector": "served", "session": "piped", "mode": "stream"},
+        )
+        requests = (
+            _observe_bytes("piped", {"symbol": "open"})
+            + _http("GET", "/health")
+            + _observe_bytes("piped", {"symbol": "read"})
+        )
+        with _raw_connection(gateway) as (sock, stream):
+            sock.sendall(requests)
+            first, health, second = (_read_response(stream) for _ in range(3))
+        assert (first[0], health[0], second[0]) == (200, 200, 200)
+        assert health[2]["detectors"] == ["served"]
+        replay = StreamingScorer(model, window=5)
+        assert [first[2]["surprise"], second[2]["surprise"]] == [
+            replay.observe("open"), replay.observe("read")
+        ]
+
+    def test_request_sent_one_byte_at_a_time(self, gateway_stack):
+        gateway, *_ = gateway_stack
+        request = _observe_bytes("bytewise", {"window": SYMBOLS + ["open"]})
+        with _raw_connection(gateway) as (sock, stream):
+            sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+            for index in range(len(request)):
+                sock.sendall(request[index:index + 1])
+                time.sleep(0.001)
+            status, _, payload = _read_response(stream)
+        assert (status, payload["kind"]) == (200, "scored")
+
+    def test_head_over_64_kib_answers_431(self, gateway_stack):
+        gateway, *_ = gateway_stack
+        padding = b"X-Padding: " + b"a" * (1 << 16) + b"\r\n"
+        with _raw_connection(gateway) as (sock, stream):
+            sock.sendall(_http("GET", "/health", headers=padding))
+            status, headers, _ = _read_response(stream)
+            assert (status, headers["connection"]) == (431, "close")
+            assert _read_response(stream) is None
+
+    @pytest.mark.parametrize("request_bytes", [
+        b"BROKEN\r\n\r\n",
+        b"GET /health HTTP/2.0\r\n\r\n",
+        b"GET /health HTTP/1.1\r\nno colon here\r\n\r\n",
+        b"POST /v1/sessions HTTP/1.1\r\nContent-Length: ten\r\n\r\n",
+        b"POST /v1/sessions HTTP/1.1\r\nContent-Length: -1\r\n\r\n",
+        b"POST /v1/sessions HTTP/1.1\r\nTransfer-Encoding: chunked\r\n\r\n"
+        b"2\r\n{}\r\n0\r\n\r\n",
+    ], ids=["request-line", "version", "header", "length-text", "length-negative",
+            "chunked"])
+    def test_malformed_request_answers_400_and_closes(
+        self, gateway_stack, request_bytes
+    ):
+        gateway, *_ = gateway_stack
+        with _raw_connection(gateway) as (sock, stream):
+            sock.sendall(request_bytes + _http("GET", "/health"))
+            status, headers, _ = _read_response(stream)
+            assert (status, headers["connection"]) == (400, "close")
+            assert _read_response(stream) is None
+
+    @pytest.mark.parametrize("version,headers", [
+        ("HTTP/1.1", b"Connection: close\r\n"),
+        ("HTTP/1.0", b""),
+    ], ids=["connection-close", "http-1.0"])
+    def test_close_after_one_response(self, gateway_stack, version, headers):
+        gateway, *_ = gateway_stack
+        first = _http("GET", "/health", version=version, headers=headers)
+        with _raw_connection(gateway) as (sock, stream):
+            sock.sendall(first + _http("GET", "/health"))
+            status, response_headers, _ = _read_response(stream)
+            assert (status, response_headers["connection"]) == (200, "close")
+            assert _read_response(stream) is None
+
+    def test_half_closed_client_still_gets_its_answer(self, gateway_stack):
+        gateway, *_ = gateway_stack
+        with _raw_connection(gateway) as (sock, stream):
+            sock.sendall(_http("GET", "/health"))
+            sock.shutdown(socket.SHUT_WR)
+            assert _read_response(stream)[0] == 200
+            assert _read_response(stream) is None
+
+    @pytest.mark.parametrize("reset", [False, True], ids=["fin", "rst"])
+    def test_disconnect_with_parked_observe_resolves_once_quietly(
+        self, caplog, reset
+    ):
+        # A FIN may be a half-close, so that connection stays open for its
+        # answer; a reset drops it at once and the answer goes nowhere.
+        model = random_model(SYMBOLS, n_states=3, seed=1)
+        service = DetectionService(ServiceConfig(max_batch=8, default_window=5))
+        service.register("served", PretrainedDetector(model, name="served"))
+        tickets = []
+        real_submit = service.submit
+
+        def submit(*args, **kwargs):
+            tickets.append(real_submit(*args, **kwargs))
+            return tickets[-1]
+
+        service.submit = submit
+        gateway = DetectionGateway(service, ModelRegistry(), GatewayConfig())
+        gateway.start()  # the service's pump is never started
+        try:
+            with caplog.at_level(logging.WARNING):
+                with _raw_connection(gateway) as (sock, _):
+                    sock.sendall(
+                        _observe_bytes("gone", {"window": SYMBOLS + ["open"]})
+                    )
+                    deadline = time.monotonic() + 10
+                    while service.pending < 1 and time.monotonic() < deadline:
+                        time.sleep(0.01)
+                    assert service.pending == 1
+                    if reset:
+                        sock.setsockopt(
+                            socket.SOL_SOCKET, socket.SO_LINGER,
+                            struct.pack("ii", 1, 0),
+                        )
+                while reset and gateway._connections:
+                    assert time.monotonic() < deadline
+                    time.sleep(0.01)
+                time.sleep(0.05)  # the loop sees the disconnect first
+                seen = []
+                tickets[0].add_done_callback(seen.append)
+                assert service.pump() == 1
+                assert service.pump() == 0
+                while gateway._connections:
+                    assert time.monotonic() < deadline
+                    time.sleep(0.01)
+                gateway.stop()
+            assert len(seen) == 1 and isinstance(seen[0], Scored)
+            assert service.stats.scored == service.stats.submitted == 1
+            assert [r.getMessage() for r in caplog.records] == []
+        finally:
+            gateway.stop()
+            service.close()
+
+    def test_stop_closes_idle_keep_alive_connections(self, gateway_stack):
+        gateway, *_ = gateway_stack
+        with _raw_connection(gateway) as (sock, stream):
+            sock.sendall(_http("GET", "/health"))
+            status, headers, _ = _read_response(stream)
+            assert (status, headers["connection"]) == (200, "keep-alive")
+            gateway.stop()
+            assert _read_response(stream) is None
+
+    def test_symbols_body_matches_single_symbol_requests(self, gateway_stack):
+        gateway, _, _, model = gateway_stack
+        symbols = [SYMBOLS[(index * index + 3 * index) % 4] for index in range(64)]
+        for session in ("batch", "single"):
+            _request(
+                gateway, "POST", "/v1/sessions",
+                {"detector": "served", "session": session, "mode": "stream"},
+            )
+        status, payload = _request(
+            gateway, "POST", "/v1/sessions/served/batch/observe",
+            {"symbols": symbols},
+        )
+        assert status == 200
+        batched = payload["results"]
+        singles = []
+        conn = http.client.HTTPConnection("127.0.0.1", gateway.port, timeout=10)
+        try:
+            for symbol in symbols:
+                conn.request(
+                    "POST", "/v1/sessions/served/single/observe",
+                    body=json.dumps({"symbol": symbol}).encode(),
+                )
+                response = conn.getresponse()
+                assert response.status == 200
+                singles.append(json.loads(response.read()))
+        finally:
+            conn.close()
+        fields = ("kind", "surprise", "windowed_score", "anomalous", "gap")
+        assert [[r[f] for f in fields] for r in batched] == [
+            [r[f] for f in fields] for r in singles
+        ]
+        replay = StreamingScorer(model, window=5)
+        assert [r["surprise"] for r in batched] == replay.observe_many(symbols)
+
+    def test_symbol_observes_make_no_executor_submissions(self, gateway_stack):
+        gateway, *_ = gateway_stack
+
+        class CountingExecutor(ThreadPoolExecutor):
+            submissions = 0
+
+            def submit(self, fn, /, *args, **kwargs):
+                self.submissions += 1
+                return super().submit(fn, *args, **kwargs)
+
+        executor = CountingExecutor(max_workers=2)
+        gateway._loop.call_soon_threadsafe(
+            gateway._loop.set_default_executor, executor
+        )
+        status, _ = _request(
+            gateway, "POST", "/v1/sessions",
+            {"detector": "served", "session": "counted", "mode": "stream"},
+        )
+        assert (status, executor.submissions) == (200, 1)
+        conn = http.client.HTTPConnection("127.0.0.1", gateway.port, timeout=10)
+        try:
+            for index in range(100):
+                conn.request(
+                    "POST", "/v1/sessions/served/counted/observe",
+                    body=json.dumps({"symbol": SYMBOLS[index % 4]}).encode(),
+                )
+                response = conn.getresponse()
+                response.read()
+                assert response.status == 200
+        finally:
+            conn.close()
+        assert executor.submissions == 1

@@ -27,7 +27,13 @@ from hypothesis import strategies as st
 from repro.api import load_pretrained
 from repro.core.monitor import OnlineMonitor
 from repro.core.streaming import StreamingScorer
-from repro.errors import NotFittedError, ServiceError
+from repro.errors import (
+    NotFittedError,
+    ServiceClosedError,
+    ServiceError,
+    SessionNotOpenError,
+    UnknownDetectorError,
+)
 from repro.gateway import DetectionGateway, GatewayConfig
 from repro.hmm import random_model
 from repro.hmm.kernels import log_likelihood_stacked
@@ -243,6 +249,21 @@ class TestShutdown:
         assert service.closed
         with pytest.raises(ServiceError, match="^service is closed$"):
             service.open_session("svc", "late", "stream")
+
+    def test_closed_service_refuses_pump_note_gap_and_close_session(
+        self, detector
+    ):
+        service = fresh_service(detector)
+        service.open_session("svc", "mon", "monitor")
+        ticket = service.submit("svc", "w", window=make_windows(1)[0])
+        assert service.close() == 1  # close() still drains its own rounds
+        assert isinstance(ticket.result(timeout=0), Scored)
+        with pytest.raises(ServiceClosedError, match="^service is closed$"):
+            service.pump()
+        with pytest.raises(ServiceClosedError, match="^service is closed$"):
+            service.note_gap("svc", "mon")
+        with pytest.raises(ServiceClosedError, match="^service is closed$"):
+            service.close_session("svc", "mon")
 
     def test_context_manager_drains_on_clean_exit(self, detector):
         with fresh_service(detector) as service:
@@ -549,6 +570,21 @@ class TestRegistration:
         with pytest.raises(ServiceError, match="no detector"):
             service.submit("nope", "s", window=make_windows(1)[0])
 
+    def test_errors_are_typed_whatever_the_ids_say(self, detector):
+        # Ids are the caller's, so only the type tells these cases apart.
+        service = fresh_service(detector)
+        with pytest.raises(UnknownDetectorError):
+            service.open_session("service is closed", "s", "stream")
+        with pytest.raises(SessionNotOpenError):
+            service.submit("svc", "no detector", symbol=SYMBOLS[0])
+        service.open_session("svc", "is not open", "monitor")
+        with pytest.raises(ServiceError) as mismatch:
+            service.open_session("svc", "is not open", "stream")
+        assert type(mismatch.value) is ServiceError
+        service.close()
+        with pytest.raises(ServiceClosedError):
+            service.submit("svc", "s", window=make_windows(1)[0])
+
     def test_register_fleet_from_models(self, model, tmp_path):
         from repro.hmm import save_model
 
@@ -821,6 +857,32 @@ class TestThreadedWake:
         closer.start()
         closer.join(timeout=1.0)
         assert not closer.is_alive()
+
+    def test_waiting_submitter_goes_before_the_next_round(self, detector):
+        service = fresh_service(detector, max_batch=1)
+        for index, window in enumerate(make_windows(30)):
+            service.submit("svc", f"backlog{index}", window=window)
+        rounds = []
+        real_drain = service._scheduler.drain
+
+        def slow_drain(lanes, stats):
+            resolved = real_drain(lanes, stats)
+            time.sleep(0.01)  # a long round, holding the service lock
+            rounds.append(resolved)
+            return resolved
+
+        service._scheduler.drain = slow_drain
+        service.start()
+        try:
+            assert _wait_for(lambda: rounds)
+            before = len(rounds)
+            service.submit("svc", "late", window=make_windows(1)[0])
+            # The round in flight ends; at most one more starts if the
+            # loop passed the gate before this submitter reached it.
+            assert len(rounds) - before <= 2
+            assert service.pending > 20
+        finally:
+            service.close()
 
     def test_bursty_submitters_lose_no_wake_up(self, detector, stream_bursts):
         service = fresh_service(detector)
