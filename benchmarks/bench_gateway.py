@@ -2,13 +2,13 @@
 
 Not a paper table: this bench tracks the serving stack end to end
 (``repro.gateway`` over ``repro.service``).  Keep-alive HTTP/1.1 clients
-push window-mode observe requests through a live gateway backed by a
-pump-threaded :class:`~repro.service.service.DetectionService`; every
-response's score is checked bit-identical to ``Detector.score`` on the
-same window (floats round-trip exactly through JSON), a registry
-publish + rollout is timed mid-run to price a warm swap, and the final
-``/metrics`` scrape must parse clean under the checked-in Prometheus
-grammar validator.
+push window-mode observe requests through a live gateway whose event loop
+drains its :class:`~repro.service.service.DetectionService`, as the
+``repro gateway`` CLI does; every response's score is checked
+bit-identical to ``Detector.score`` on the same window (floats round-trip
+exactly through JSON), a registry publish + rollout is timed mid-run to
+price a warm swap, and the final ``/metrics`` scrape must parse clean
+under the checked-in Prometheus grammar validator.
 
 Shapes asserted: all requests answer 200, scores are bit-identical to
 direct scoring, the swap completes without a single non-200, and the
@@ -94,7 +94,6 @@ def test_gateway_throughput():
         ServiceConfig(max_batch=256, max_queue_depth=N_REQUESTS)
     )
     service.register("bench", detector, threshold=-4.0)
-    service.start()
     registry = ModelRegistry()
     registry.publish("bench", model, activate=True)
     gateway = DetectionGateway(

@@ -223,7 +223,9 @@ def open_gateway(service, registry=None, config=None):
     Returns an unstarted
     :class:`~repro.gateway.server.DetectionGateway`; call ``start()`` (or
     use it as a context manager) to bind and serve, and read ``.port`` for
-    the bound port.  See ``docs/gateway.md``.
+    the bound port.  The gateway's event loop drains ``service`` itself
+    (``GatewayConfig.pump``, on by default), so the service needs no
+    ``start()``.  See ``docs/gateway.md``.
     """
     from .gateway import DetectionGateway
 

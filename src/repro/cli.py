@@ -189,8 +189,9 @@ def build_parser() -> argparse.ArgumentParser:
                          help="seconds an observe waits for its outcome "
                               "before answering 503")
     gateway.add_argument("--no-pump", action="store_true",
-                         help="do not start the background pump; drive "
-                              "drains via POST /v1/admin/pump (test hook)")
+                         help="do not drain on the gateway's event loop; "
+                              "drive drains via POST /v1/admin/pump "
+                              "(test hook)")
 
     robustness = sub.add_parser(
         "robustness",
@@ -605,6 +606,7 @@ def _cmd_gateway(args: argparse.Namespace) -> int:
             port=args.port,
             result_timeout_s=args.result_timeout,
             call_kind=args.kind.value,
+            pump=not args.no_pump,
         ),
     )
     # v1 of the lineage is the model we booted with; activating it warm-swaps
@@ -613,8 +615,6 @@ def _cmd_gateway(args: argparse.Namespace) -> int:
         args.name, model,
         metadata={"source": str(args.model_source)}, activate=True,
     )
-    if not args.no_pump:
-        service.start()
     gateway.start()
     # SIGTERM (docker stop, CI `kill`) takes the same graceful path as
     # Ctrl-C, so the gateway stops and the service closes cleanly.

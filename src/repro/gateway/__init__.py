@@ -12,7 +12,7 @@ Quick start::
 
     from repro.gateway import DetectionGateway, GatewayConfig
 
-    service.start()                 # background pump
+    # the gateway's loop drains the service; no service.start() needed
     with DetectionGateway(service, registry, GatewayConfig(port=0)) as gw:
         print(f"listening on http://127.0.0.1:{gw.port}")
         ...

@@ -36,17 +36,19 @@ this black-box against the CLI gateway.
 Event-loop discipline: each connection frames requests from its own
 buffer in ``data_received`` and serves them one at a time, so pipelined
 requests are answered in order.  ``observe`` calls ``service.submit``
-inline on the loop: ``submit`` holds the service lock only to enqueue, and
-a submitter that finds the lock busy goes next when the drain round in
-flight ends.  Each ticket's done-callback, in the draining thread, hands
-the outcome back with one ``call_soon_threadsafe`` whose callback writes
-the response, so an event costs one loop callback in and one out, and a
-parked ``observe`` holds no thread.  One ``call_later`` per request answers
-503 at ``result_timeout_s``.  Every other route runs in the default
-executor (``loop.run_in_executor``), because it can wait for or run a
-whole drain under the service lock, touch disk, or render the telemetry
-snapshot; its future's done-callback writes the response through the
-same writer.
+inline on the loop and schedules one drain callback (``call_soon``, at
+most one pending), so every request framed in the same loop iteration
+shares the round, and the loop runs ``service.pump()`` itself: an event
+never leaves the loop's thread.  Each ticket's done-callback, run inside
+that drain, settles its request with a plain ``call_soon`` whose callback
+writes the response; a ticket resolved in another thread (the swap
+barrier, an admin route, a caller's own ``service.start()``) hands it
+over with ``call_soon_threadsafe`` instead.  A parked ``observe`` holds no
+thread, and one ``call_later`` per request answers 503 at
+``result_timeout_s``.  Every other route runs in the default executor
+(``loop.run_in_executor``), because it can wait for or run a whole drain
+under the service lock, touch disk, or render the telemetry snapshot; its
+future's done-callback writes the response through the same writer.
 """
 
 from __future__ import annotations
@@ -56,6 +58,7 @@ import dataclasses
 import functools
 import itertools
 import json
+import logging
 import threading
 import time
 from dataclasses import dataclass
@@ -81,6 +84,8 @@ from ..service.outcomes import (
 from ..telemetry import DEFAULT_SECONDS_BUCKETS
 from .exposition import render_prometheus
 
+log = logging.getLogger(__name__)
+
 __all__ = [
     "DetectionGateway",
     "GatewayConfig",
@@ -104,12 +109,16 @@ class GatewayConfig:
             it back from :attr:`DetectionGateway.port` after start — the
             test harness and CLI both do).
         result_timeout_s: how long ``observe`` waits for a ticket before
-            answering 503; under a running pump this bounds a stuck drain,
-            it is not a latency budget.
+            answering 503; with ``pump`` on this bounds a stuck drain, it
+            is not a latency budget.
         max_body_bytes: request bodies above this answer 413 (request
             heads above 64 KiB answer 431).
         call_kind: trace alphabet for detectors rebuilt from registry
             activations (matches the fleet's training, default syscall).
+        pump: drain the service from the gateway's own event loop after
+            each ``observe``.  ``False`` leaves draining to someone else
+            (``POST /v1/admin/pump``, ``service.pump()``, a thread from
+            ``service.start()``), so requests park until then.
     """
 
     host: str = "127.0.0.1"
@@ -117,6 +126,7 @@ class GatewayConfig:
     result_timeout_s: float = 30.0
     max_body_bytes: int = 1 << 20
     call_kind: str = "syscall"
+    pump: bool = True
 
 
 #: Longest request line plus headers a connection buffers before 431.
@@ -494,13 +504,18 @@ class _Exchange:
             ticket.add_done_callback(functools.partial(self._on_done, index))
 
     def _on_done(self, index: int, outcome) -> None:
-        # Runs in the thread that resolved the ticket.  next() on a count
-        # is one atomic step, so exactly one ticket sees the last number
-        # and hands the answer to the loop.
+        # Runs in the thread that resolved the ticket: usually the loop's
+        # own drain, otherwise one that must wake the loop.  next() on a
+        # count is one atomic step, so exactly one ticket sees the last
+        # number and hands the answer to the loop.
         self.outcomes[index] = outcome
         if next(self.resolved) == len(self.outcomes):
+            gateway = self.gateway
             try:
-                self.gateway._loop.call_soon_threadsafe(self._settle)
+                if threading.get_ident() == gateway._loop_thread:
+                    gateway._loop.call_soon(self._settle)
+                else:
+                    gateway._loop.call_soon_threadsafe(self._settle)
             except RuntimeError:
                 pass  # the gateway stopped; nobody awaits this outcome
 
@@ -553,9 +568,11 @@ class DetectionGateway:
 
     The server runs its asyncio loop in a dedicated daemon thread
     (:meth:`start` / :meth:`stop`), so the same object serves both the CLI
-    (start, print address, sleep) and in-process tests.  The service's own
-    background pump (``service.start()``) is the caller's to manage — the
-    CLI starts it; the e2e 429 fixture deliberately does not.
+    (start, print address, sleep) and in-process tests.  The loop also
+    drains the service (``GatewayConfig.pump``, on by default), so a
+    gateway serves without ``service.start()``; with ``pump=False``
+    requests park until something else drains, which is how the e2e 429
+    fixture (``--no-pump``) keeps admission deterministic.
     """
 
     def __init__(
@@ -573,6 +590,8 @@ class DetectionGateway:
         self._connections: set[_Connection] = set()
         self._thread: threading.Thread | None = None
         self._loop: asyncio.AbstractEventLoop | None = None
+        self._loop_thread: int | None = None
+        self._drain_pending = False
         self._shutdown: asyncio.Event | None = None
         self._ready = threading.Event()
         self._startup_error: BaseException | None = None
@@ -646,6 +665,7 @@ class DetectionGateway:
     async def _main(self) -> None:
         loop = asyncio.get_running_loop()
         self._loop = loop
+        self._loop_thread = threading.get_ident()
         self._shutdown = asyncio.Event()
         try:
             server = await loop.create_server(
@@ -743,6 +763,11 @@ class DetectionGateway:
             raise _HTTPError(
                 400, "give exactly one of window, symbol, or symbols"
             )
+        if self.config.pump and not self._drain_pending:
+            # Before the submits: a body cut short by a raising submit
+            # still has its admitted requests drained.
+            self._drain_pending = True
+            self._loop.call_soon(self._drain)
         submit = self.service.submit
         if window is not None:
             if not _strings(window):
@@ -759,6 +784,30 @@ class DetectionGateway:
                 raise _HTTPError(400, "symbols must not be empty")
             tickets = [submit(detector, session_id, symbol=s) for s in symbols]
         exchange.await_tickets(tickets, batch=symbols is not None)
+
+    def _drain(self) -> None:
+        """One ``service.pump()`` round on the loop, rescheduled while a
+        lane still holds work, so other callbacks run between rounds.
+
+        A round that crashes has already resolved its popped tickets
+        ``Failed``; like the threaded drain loop, log it, count it and keep
+        serving.  A closed service ends the chain quietly.
+        """
+        self._drain_pending = False
+        try:
+            self.service.pump()
+        except ServiceClosedError:
+            return
+        except Exception:
+            log.exception("gateway drain: drain crashed; continuing")
+            telemetry.counter_add("service.drain_errors")
+        if self.service.pending:
+            # A timer, not call_soon: due timers join the ready queue after
+            # the next poll's I/O callbacks, so requests that arrived during
+            # this round are framed before the next one runs, and none waits
+            # longer than the round in flight.
+            self._drain_pending = True
+            self._loop.call_later(0, self._drain)
 
     def _health(self) -> dict:
         return {

@@ -152,8 +152,9 @@ class Ticket:
     The scheduler resolves each ticket exactly once; ``result()`` blocks
     until then (or raises on timeout), and every callback registered with
     :meth:`add_done_callback` runs once with the outcome.  In synchronous
-    deployments (``service.pump()`` called by the same thread) the outcome
-    is already set by the time ``submit`` returns control.
+    deployments (``service.pump()`` called by the same thread, as the
+    gateway's event loop does) the outcome is set by the time the ``pump``
+    that drains the request returns.
     """
 
     __slots__ = ("_cond", "_outcome", "_callbacks")

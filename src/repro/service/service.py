@@ -13,7 +13,8 @@ Two deployment shapes:
 
 * **synchronous** — call :meth:`DetectionService.pump` (or
   :meth:`drain_pending`) from your own loop; tickets resolve before pump
-  returns.  Deterministic; what the tests and benchmarks drive.
+  returns.  Deterministic; what the tests and benchmarks drive, and what
+  the HTTP gateway's event loop does.
 * **threaded** — :meth:`start` launches a background drain loop that
   sleeps until a ``submit`` wakes it (no idle polling) and drains until a
   round resolves nothing; tickets resolve as the loop gets to them, and

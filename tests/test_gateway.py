@@ -312,7 +312,6 @@ def gateway_stack():
         "served", PretrainedDetector(model, name="served"),
         threshold=-5.0, window=5,
     )
-    service.start()
     registry = ModelRegistry()
     gateway = DetectionGateway(service, registry, GatewayConfig())
     registry.publish("served", model, activate=True)
@@ -665,8 +664,10 @@ class TestParkedObserves:
         model = random_model(SYMBOLS, n_states=3, seed=1)
         service = DetectionService(ServiceConfig(max_batch=64, default_window=5))
         service.register("served", PretrainedDetector(model, name="served"))
-        gateway = DetectionGateway(service, ModelRegistry(), GatewayConfig())
-        gateway.start()  # the service's pump is never started
+        gateway = DetectionGateway(
+            service, ModelRegistry(), GatewayConfig(pump=False)
+        )
+        gateway.start()  # nothing drains until the admin pump
         statuses: list = []
 
         def observe(index):
@@ -815,8 +816,10 @@ class TestWireFraming:
             return tickets[-1]
 
         service.submit = submit
-        gateway = DetectionGateway(service, ModelRegistry(), GatewayConfig())
-        gateway.start()  # the service's pump is never started
+        gateway = DetectionGateway(
+            service, ModelRegistry(), GatewayConfig(pump=False)
+        )
+        gateway.start()  # nothing drains until the test pumps
         try:
             with caplog.at_level(logging.WARNING):
                 with _raw_connection(gateway) as (sock, _):
@@ -926,3 +929,172 @@ class TestWireFraming:
         finally:
             conn.close()
         assert executor.submissions == 1
+
+
+def _observe_on(conn, session, payload):
+    """POST one observe on a keep-alive connection; ``(status, body)``."""
+    conn.request(
+        "POST", f"/v1/sessions/served/{session}/observe",
+        body=json.dumps(payload).encode(),
+    )
+    response = conn.getresponse()
+    return response.status, json.loads(response.read())
+
+
+class TestLoopDrain:
+    """The gateway's event loop drains the service itself."""
+
+    def test_documented_in_process_stack_serves(self):
+        from repro import api
+
+        model = random_model(SYMBOLS, n_states=3, seed=1)
+        service = api.open_service()
+        service.register("served", PretrainedDetector(model, name="served"))
+        registry = api.open_registry()
+        try:
+            with api.open_gateway(service, registry) as gateway:
+                conn = http.client.HTTPConnection(
+                    "127.0.0.1", gateway.port, timeout=10
+                )
+                try:
+                    status, payload = _observe_on(
+                        conn, "quick", {"window": SYMBOLS + ["open"]}
+                    )
+                finally:
+                    conn.close()
+        finally:
+            service.close()
+        assert (status, payload["kind"]) == (200, "scored")
+        detector = PretrainedDetector(model, name="served")
+        assert payload["score"] == detector.score([SYMBOLS + ["open"]])[0]
+
+    def test_symbol_observes_make_no_thread_hand_offs(self, gateway_stack):
+        gateway, _, _, model = gateway_stack
+        status, _ = _request(
+            gateway, "POST", "/v1/sessions",
+            {"detector": "served", "session": "local", "mode": "stream"},
+        )
+        assert status == 200
+        loop = gateway._loop
+        real = loop.call_soon_threadsafe
+        hand_offs = []
+
+        def counting(callback, *args, **kwargs):
+            hand_offs.append(callback)
+            return real(callback, *args, **kwargs)
+
+        symbols = [SYMBOLS[index % 4] for index in range(100)]
+        surprises = []
+        loop.call_soon_threadsafe = counting
+        conn = http.client.HTTPConnection("127.0.0.1", gateway.port, timeout=10)
+        try:
+            for symbol in symbols:
+                status, payload = _observe_on(conn, "local", {"symbol": symbol})
+                assert status == 200
+                surprises.append(payload["surprise"])
+        finally:
+            conn.close()
+            del loop.call_soon_threadsafe
+        assert hand_offs == []
+        assert "repro-service" not in {t.name for t in threading.enumerate()}
+        assert surprises == StreamingScorer(model, window=5).observe_many(symbols)
+
+    def test_drain_crash_answers_500_and_the_loop_keeps_serving(
+        self, gateway_stack, monkeypatch, caplog
+    ):
+        import repro.service.scheduler as scheduler_module
+
+        gateway, service, _, model = gateway_stack
+        real = scheduler_module.log_likelihood_stacked
+        crashes = []
+
+        def crash_once(models, obs_list):
+            if not crashes:
+                crashes.append(True)
+                raise RuntimeError("kaboom")
+            return real(models, obs_list)
+
+        monkeypatch.setattr(scheduler_module, "log_likelihood_stacked", crash_once)
+        window = SYMBOLS + ["open"]
+        conn = http.client.HTTPConnection("127.0.0.1", gateway.port, timeout=10)
+        try:
+            with caplog.at_level(logging.ERROR):
+                failed = _observe_on(conn, "crash", {"window": window})
+                scored = _observe_on(conn, "crash", {"window": window})
+            conn.request("GET", "/metrics")
+            text = conn.getresponse().read().decode()
+        finally:
+            conn.close()
+        assert failed[0] == 500
+        assert (failed[1]["kind"], failed[1]["error"]) == (
+            "failed", "RuntimeError: kaboom"
+        )
+        errors = [r for r in caplog.records if r.levelno >= logging.ERROR]
+        assert len(errors) == 1 and "drain crashed" in errors[0].getMessage()
+        assert "repro_service_drain_errors_total 1\n" in text
+        assert validate_text(text) == []
+        assert (scored[0], scored[1]["kind"]) == (200, "scored")
+        detector = PretrainedDetector(model, name="served")
+        assert scored[1]["score"] == detector.score([window])[0]
+        assert (service.stats.failed, service.stats.scored) == (1, 1)
+
+    def test_body_cut_short_by_a_raising_submit_still_drains(self, gateway_stack):
+        gateway, service, _, model = gateway_stack
+        opened = {"detector": "served", "session": "cut", "mode": "stream"}
+        assert _request(gateway, "POST", "/v1/sessions", opened)[0] == 200
+        real_submit = service.submit
+        admitted = []
+
+        def submit(detector, session_id, **kwargs):
+            if len(admitted) == 2:  # the session closes mid-body
+                service.close_session(detector, session_id)
+            admitted.append(real_submit(detector, session_id, **kwargs))
+            return admitted[-1]
+
+        service.submit = submit
+        status, _ = _request(
+            gateway, "POST", "/v1/sessions/served/cut/observe",
+            {"symbols": ["open", "read", "write"]},
+        )
+        assert status == 404
+        outcomes = [ticket.result(timeout=5) for ticket in admitted]
+        replay = StreamingScorer(model, window=5)
+        assert [o.surprise for o in outcomes] == replay.observe_many(["open", "read"])
+
+    def test_request_arriving_during_a_round_is_framed_before_the_next(self):
+        model = random_model(SYMBOLS, n_states=3, seed=1)
+        service = DetectionService(ServiceConfig(max_batch=1, default_window=5))
+        service.register("served", PretrainedDetector(model, name="served"))
+        window = SYMBOLS + ["open"]
+        events = []
+        real_pump, real_submit = service.pump, service.submit
+        gateway = DetectionGateway(service)
+        gateway.start()
+        try:
+            with _raw_connection(gateway) as (sock, stream):
+                sock.sendall(_http("GET", "/health"))
+                assert _read_response(stream)[0] == 200  # accepted
+                for index in range(3):
+                    real_submit("served", f"backlog{index}", window=window)
+
+                def pump(*args, **kwargs):
+                    if "pump" not in events:  # lands while round 1 runs
+                        sock.sendall(_observe_bytes("probe", {"window": window}))
+                    events.append("pump")
+                    return real_pump(*args, **kwargs)
+
+                def submit(detector, session_id, **kwargs):
+                    events.append(session_id)
+                    return real_submit(detector, session_id, **kwargs)
+
+                service.pump, service.submit = pump, submit
+                status, _ = _request(
+                    gateway, "POST", "/v1/sessions/served/trigger/observe",
+                    {"window": window},
+                )
+                assert status == 200
+                assert _read_response(stream)[0] == 200
+        finally:
+            gateway.stop()
+            service.close()
+        assert events[:4] == ["trigger", "pump", "probe", "pump"]

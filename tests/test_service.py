@@ -953,7 +953,7 @@ class TestGatewayAwaitedTickets:
     ):
         service = fresh_service(detector)
         gateway = DetectionGateway(
-            service, config=GatewayConfig(result_timeout_s=2.0)
+            service, config=GatewayConfig(result_timeout_s=2.0, pump=False)
         )
         gateway.start()
         windows = make_windows(6)
@@ -984,7 +984,7 @@ class TestGatewayAwaitedTickets:
         windows = make_windows(3)
         statuses: list = []
         with DetectionGateway(
-            service, config=GatewayConfig(result_timeout_s=0.2)
+            service, config=GatewayConfig(result_timeout_s=0.2, pump=False)
         ) as gateway:
             for i, window in enumerate(windows):
                 _post_observe(gateway.port, f"late{i}", window, statuses)
