@@ -1,13 +1,13 @@
 """Runtime scaling — parallel fan-out and artifact-cache effectiveness.
 
 Not a paper table: this bench tracks the *execution layer* added on top of
-the reproduction (see ``repro.runtime``).  It runs the same model × program
-accuracy grid four ways —
+the reproduction (see ``repro.runtime``).  It runs the same accuracy grid
+(one cell per program, four models each) four ways —
 
 * serial (the reference path),
 * parallel (``ParallelExecutor``, default 2 jobs, ``REPRO_JOBS`` overrides),
 * cold cache (serial, populating a fresh ``ArtifactCache``),
-* warm cache (serial, reloading every trained model),
+* warm cache (serial, resuming every cell from the cache),
 
 — verifies all four produce identical numbers, and writes the wall-clocks
 plus cache counters to ``BENCH_runtime.json`` so CI can chart the perf
@@ -33,8 +33,8 @@ from repro.eval import ExperimentConfig, accuracy_comparisons, accuracy_grid
 from repro.program import CallKind
 from repro.runtime import ArtifactCache, ParallelExecutor, clamp_jobs, run_grid
 
-#: Sized so each (program, model) cell is coarse enough to amortise
-#: process fan-out while the whole bench stays CI-friendly.
+#: Sized so each per-program cell is coarse enough to amortise process
+#: fan-out while the whole bench stays CI-friendly.
 SCALING_CONFIG = ExperimentConfig(
     n_cases=80,
     folds=2,
@@ -46,6 +46,7 @@ SCALING_CONFIG = ExperimentConfig(
 
 PROGRAMS = ("flex", "grep", "gzip", "sed")
 KIND = CallKind.SYSCALL
+SPEC = accuracy_grid(PROGRAMS, KIND, SCALING_CONFIG)
 
 
 def _bench_jobs() -> int:
@@ -64,12 +65,7 @@ def _cpus_available() -> int:
 
 
 def _grid(executor=None, cache=None):
-    result = run_grid(
-        accuracy_grid(PROGRAMS, KIND, SCALING_CONFIG),
-        executor=executor,
-        cache=cache,
-    )
-    return accuracy_comparisons(result)
+    return accuracy_comparisons(run_grid(SPEC, executor=executor, cache=cache))
 
 
 def _grids_identical(left, right) -> bool:
@@ -138,7 +134,7 @@ def test_runtime_scaling():
         "grid": {
             "programs": list(PROGRAMS),
             "kind": KIND.value,
-            "n_cells": len(PROGRAMS) * 4,
+            "n_cells": SPEC.n_cells,
         },
         "jobs": jobs,
         "cpus_available": cpus,

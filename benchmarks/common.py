@@ -218,7 +218,7 @@ def accuracy_figure(
 ) -> dict[str, AccuracyComparison]:
     """Run the four-model comparison on each program (a Figures 2-5 panel).
 
-    The (program × model) cells fan out over ``REPRO_JOBS`` worker
+    The per-program cells fan out over ``REPRO_JOBS`` worker
     processes and memoise trained models in ``REPRO_CACHE_DIR``; both
     default off, preserving the serial reference behaviour.
     """

@@ -7,7 +7,7 @@ from .exploits import (
     build_attack_events,
     payloads_for,
 )
-from .mimicry import MimicryAttempt, craft_mimicry, mimicry_headroom
+from .mimicry import MimicryAttempt, craft_mimicry
 from .rop import (
     DEFAULT_CONTEXT_FIDELITY,
     MISSING_CONTEXT,
@@ -39,7 +39,6 @@ __all__ = [
     "craft_mimicry",
     "gzip_q1_q2",
     "legitimate_call_set",
-    "mimicry_headroom",
     "payloads_for",
     "rop_chain_events",
 ]

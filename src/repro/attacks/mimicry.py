@@ -82,15 +82,3 @@ def craft_mimicry(
         insert_position=position,
         host_segment=host,
     )
-
-
-def mimicry_headroom(
-    detector: Detector,
-    normal_segments: list[Segment],
-    required_symbol: str,
-    threshold: float,
-    **kwargs,
-) -> tuple[MimicryAttempt, bool]:
-    """Best attempt plus whether it would evade at ``threshold``."""
-    attempt = craft_mimicry(detector, normal_segments, required_symbol, **kwargs)
-    return attempt, attempt.score >= threshold

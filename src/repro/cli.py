@@ -690,7 +690,7 @@ def _cmd_robustness(args: argparse.Namespace) -> int:
 
 
 def _cmd_report(args: argparse.Namespace) -> int:
-    executor, cache = runtime_from_args(args)
+    _, cache = runtime_from_args(args)
     if args.markdown is not None:
         from .eval import FAST_CONFIG, ReportSpec, write_report
 
@@ -715,7 +715,7 @@ def _cmd_report(args: argparse.Namespace) -> int:
         print("  ", row.row())
     print("== accuracy, syscall models (Figures 3/5 role) ==")
     comparison = run_accuracy_comparison(
-        program, CallKind.SYSCALL, FAST_CONFIG, executor=executor, cache=cache
+        program, CallKind.SYSCALL, FAST_CONFIG, cache=cache
     )
     for model_name, result in comparison.results.items():
         fn = result.fn_by_fp[FAST_CONFIG.fp_targets[-1]]

@@ -31,7 +31,7 @@ from .registry import (
     model_is_context_sensitive,
 )
 from .static_models import ClusterPolicy, CMarkovDetector, StiloDetector
-from .thresholds import margin_threshold, threshold_for_fp_budget
+from .thresholds import threshold_for_fp_budget
 
 __all__ = [
     "EXTRA_MODEL_NAMES",
@@ -66,7 +66,6 @@ __all__ = [
     "curve",
     "detection_rate",
     "fn_at_fp",
-    "margin_threshold",
     "model_is_context_sensitive",
     "rates_at_threshold",
     "threshold_for_fp_budget",

@@ -4,11 +4,10 @@
 each fold trains on 9/10 of the unique normal segments and scores the held
 out tenth as the *normal* test set, against a fixed abnormal set.
 
-Folds are independent — each carries its own training data and seed — so
-they fan out through a :class:`repro.runtime.ParallelExecutor` with results
-bit-identical to the serial path, and trained models are memoised in a
-:class:`repro.runtime.ArtifactCache` keyed by the detector spec plus the
-fold's exact training content.
+Folds run in order in the calling process; parallelism lives one level
+up, in the grid runs that call this (:func:`repro.runtime.run_grid`).
+Trained models are memoised in a :class:`repro.runtime.ArtifactCache`
+keyed by the detector spec plus the fold's exact training content.
 """
 
 from __future__ import annotations
@@ -20,8 +19,7 @@ import numpy as np
 
 from .. import telemetry
 from ..errors import EvaluationError
-from ..runtime.cache import ArtifactCache, CacheStats, stable_hash
-from ..runtime.executor import ParallelExecutor
+from ..runtime.cache import ArtifactCache, stable_hash
 from ..tracing.segments import Segment, SegmentSet
 from .detector import Detector
 from .metrics import auc_score, fn_at_fp
@@ -48,7 +46,6 @@ class CrossValidationResult:
 
     detector_name: str
     folds: list[FoldOutcome] = field(default_factory=list)
-    cache_stats: CacheStats | None = None
 
     def mean_fn_at(self, fp_target: float) -> float:
         values = [fold.fn_by_fp[fp_target] for fold in self.folds]
@@ -98,16 +95,8 @@ def run_fold(
     abnormal_segments: Sequence[Segment],
     fp_targets: Sequence[float],
     cache: ArtifactCache | None = None,
-) -> tuple[str, FoldOutcome, CacheStats | None]:
-    """Fit and score one fold (runs in a worker process when parallel).
-
-    Returns the detector name, the fold outcome, and the cache-counter
-    delta this fold produced (for the coordinator to merge when the fold
-    ran in a worker process).
-    """
-    before = (
-        CacheStats(**cache.stats.as_dict()) if cache is not None else None
-    )
+) -> tuple[str, FoldOutcome]:
+    """Fit and score one fold; returns the detector name and the outcome."""
     detector = factory()
     cached_model = None
     key = None
@@ -146,17 +135,7 @@ def run_fold(
         n_states=n_states,
         from_cache=from_cache,
     )
-    delta = None
-    if cache is not None and before is not None:
-        after = cache.stats
-        delta = CacheStats(
-            hits=after.hits - before.hits,
-            misses=after.misses - before.misses,
-            evictions=after.evictions - before.evictions,
-            corrupt=after.corrupt - before.corrupt,
-            writes=after.writes - before.writes,
-        )
-    return detector.name, outcome, delta
+    return detector.name, outcome
 
 
 def cross_validate(
@@ -166,25 +145,21 @@ def cross_validate(
     k: int = 10,
     fp_targets: Sequence[float] = (0.0001, 0.001, 0.01, 0.05),
     seed: int = 0,
-    executor: ParallelExecutor | None = None,
     cache: ArtifactCache | None = None,
 ) -> CrossValidationResult:
     """Run k-fold cross-validation.
 
     Args:
         factory: builds a fresh (unfitted) detector per fold.  A
-            :class:`repro.core.registry.DetectorSpec` enables parallel
-            execution (picklable) and model caching (content-keyable);
-            plain closures still work but run serially and uncached.
+            :class:`repro.core.registry.DetectorSpec` enables model
+            caching (content-keyable); plain closures still work but run
+            uncached.
         normal_segments: deduplicated normal segments.
         abnormal_segments: fixed abnormal test segments (Abnormal-S or
             attack traces).
         k: fold count (the paper uses 10).
         fp_targets: FP budgets at which FN is extracted.
         seed: fold-assignment seed.
-        executor: fans folds out over worker processes; ``None`` (or
-            ``jobs=1``) runs the reference serial path.  Results are
-            bit-identical either way.
         cache: memoises each fold's trained model by (detector spec,
             training content).
     """
@@ -192,26 +167,13 @@ def cross_validate(
         raise EvaluationError("abnormal segment set is empty")
     abnormal = list(abnormal_segments)
     fp_targets = tuple(fp_targets)
-    tasks = [
-        (factory, train_part, test_part, abnormal, fp_targets, cache)
-        for train_part, test_part in normal_segments.folds(k=k, seed=seed)
-    ]
-    executor = executor or ParallelExecutor(jobs=1)
-    fold_results = executor.starmap(run_fold, tasks)
-
     result: CrossValidationResult | None = None
-    merged = CacheStats() if cache is not None else None
-    for detector_name, outcome, stats_delta in fold_results:
+    for train_part, test_part in normal_segments.folds(k=k, seed=seed):
+        detector_name, outcome = run_fold(
+            factory, train_part, test_part, abnormal, fp_targets, cache
+        )
         if result is None:
             result = CrossValidationResult(detector_name=detector_name)
         result.folds.append(outcome)
-        if merged is not None and stats_delta is not None:
-            merged.merge(stats_delta)
     assert result is not None
-    if cache is not None and merged is not None:
-        result.cache_stats = merged
-        if executor.is_parallel:
-            # Worker processes counted against their own copies; fold the
-            # deltas back into the coordinating process's cache handle.
-            cache.stats.merge(merged)
     return result

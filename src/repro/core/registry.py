@@ -81,11 +81,9 @@ def build_detector(
 class DetectorSpec:
     """A picklable zero-argument detector factory.
 
-    Unlike a closure, a spec crosses process boundaries, so
-    :func:`repro.core.crossval.cross_validate` can fan folds out through a
-    :class:`repro.runtime.ParallelExecutor`, and it exposes the exact
-    inputs a trained model depends on — which is what the
-    :class:`repro.runtime.ArtifactCache` keys artifacts by.
+    Unlike a closure, a spec exposes the exact inputs a trained model
+    depends on — which is what :func:`repro.core.crossval.cross_validate`
+    keys its :class:`repro.runtime.ArtifactCache` entries by.
     """
 
     model_name: str

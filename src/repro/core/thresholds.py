@@ -34,13 +34,3 @@ def threshold_for_fp_budget(normal_scores: np.ndarray, fp_budget: float) -> floa
     if allowed == 0:
         return float(scores[0])
     return float(scores[allowed])
-
-
-def margin_threshold(normal_scores: np.ndarray, margin: float = 3.0) -> float:
-    """Robust fallback: median minus ``margin`` MADs of the normal scores."""
-    scores = np.asarray(normal_scores)
-    if scores.size == 0:
-        raise EvaluationError("no normal scores supplied")
-    median = float(np.median(scores))
-    mad = float(np.median(np.abs(scores - median)))
-    return median - margin * max(mad, 1e-12)

@@ -41,7 +41,7 @@ from ..program.program import Program
 from ..reduction.cluster import cluster_calls
 from ..runtime.cache import ArtifactCache
 from ..runtime.executor import ParallelExecutor
-from ..runtime.grid import GridAxis, GridResult, GridSpec
+from ..runtime.grid import GridAxis, GridResult, GridSpec, run_grid
 from ..reduction.initializer import initialize_hmm
 from ..tracing.segments import SegmentSet, build_segment_set, segment_symbols
 from ..tracing.workload import CoverageReport, WorkloadResult, run_workload
@@ -58,10 +58,12 @@ class ProgramData:
 
     program: Program
     workload: WorkloadResult
-    segments: dict[tuple[CallKind, bool], SegmentSet] = field(default_factory=dict)
+    segments: dict[tuple[CallKind, bool, int], SegmentSet] = field(
+        default_factory=dict
+    )
 
     def segment_set(self, kind: CallKind, context: bool, length: int) -> SegmentSet:
-        key = (kind, context)
+        key = (kind, context, length)
         if key not in self.segments:
             self.segments[key] = build_segment_set(
                 self.workload.traces, kind, context, length=length
@@ -128,10 +130,9 @@ def _model_accuracy_cell(
     model_name: str,
     seed_offset: int,
     config: ExperimentConfig,
-    executor: ParallelExecutor | None = None,
-    cache: ArtifactCache | None = None,
+    cache: ArtifactCache | None,
 ) -> ModelAccuracy:
-    """Cross-validate one model on one prepared program (one grid cell)."""
+    """Cross-validate one model on one prepared program."""
     context = model_is_context_sensitive(model_name)
     with telemetry.span(
         "eval.cell",
@@ -167,7 +168,6 @@ def _model_accuracy_cell(
             k=config.folds,
             fp_targets=config.fp_targets,
             seed=config.seed,
-            executor=executor,
             cache=cache,
         )
     return ModelAccuracy(
@@ -182,112 +182,11 @@ def _model_accuracy_cell(
     )
 
 
-def _accuracy_cell_task(
-    program_name: str,
-    kind: CallKind,
-    model_name: str,
-    seed_offset: int,
-    config: ExperimentConfig,
-    cache: ArtifactCache | None,
-) -> ModelAccuracy:
-    """One (program, model) cell, self-contained for a worker process.
-
-    Re-derives the program's workload from (name, config) — deterministic,
-    so the cell's numbers match a serial run that shared the prepared data.
-    """
-    data = prepare_program(program_name, config)
-    return _model_accuracy_cell(
-        data, kind, model_name, seed_offset, config, cache=cache
-    )
-
-
-def _program_cells_task(
-    program_name: str,
-    kind: CallKind,
-    models: tuple[str, ...],
-    config: ExperimentConfig,
-    cache: ArtifactCache | None,
-) -> list[ModelAccuracy]:
-    """All model cells for one program, sharing one prepared workload.
-
-    The per-program granularity amortises workload generation when the
-    grid is at least as wide as the worker pool.
-    """
-    data = prepare_program(program_name, config)
-    return [
-        _model_accuracy_cell(data, kind, model_name, offset, config, cache=cache)
-        for offset, model_name in enumerate(models)
-    ]
-
-
-def _merge_cell_cache_stats(
-    cache: ArtifactCache | None,
-    executor: ParallelExecutor,
-    results: list[ModelAccuracy],
-) -> None:
-    """Fold worker-process cache counters back into the coordinator."""
-    if cache is None or not executor.is_parallel:
-        return
-    for accuracy in results:
-        delta = accuracy.cross_validation.cache_stats
-        if delta is not None:
-            cache.stats.merge(delta)
-
-
-def run_accuracy_comparison(
-    program_name: str,
-    kind: CallKind,
-    config: ExperimentConfig | None = None,
-    models: tuple[str, ...] = MODEL_NAMES,
-    data: ProgramData | None = None,
-    executor: ParallelExecutor | None = None,
-    cache: ArtifactCache | None = None,
-) -> AccuracyComparison:
-    """Cross-validate the compared models on one program × call kind.
-
-    Normal segments come from the workload suite; abnormal segments are
-    Abnormal-S (Section V-A).  Each model observes its own symbol form
-    (context or bare), exactly as in the paper's comparisons.
-
-    With a parallel ``executor`` the per-model cells fan out across worker
-    processes; every cell derives its inputs from (program name, config,
-    seed) alone, so the numbers are bit-identical to the serial run.  A
-    ``cache`` memoises each fold's trained model.
-    """
-    config = config or ExperimentConfig()
-    executor = executor or ParallelExecutor(jobs=1)
-    comparison = AccuracyComparison(program=program_name, kind=kind)
-
-    if executor.is_parallel and data is None:
-        tasks = [
-            (program_name, kind, model_name, offset, config, cache)
-            for offset, model_name in enumerate(models)
-        ]
-        cells = executor.starmap(_accuracy_cell_task, tasks)
-        _merge_cell_cache_stats(cache, executor, cells)
-        comparison.program = cells[0].program
-        for model_name, accuracy in zip(models, cells):
-            comparison.results[model_name] = accuracy
-        return comparison
-
-    if data is None:
-        data = prepare_program(program_name, config)
-    comparison.program = data.program.name
-    for offset, model_name in enumerate(models):
-        comparison.results[model_name] = _model_accuracy_cell(
-            data, kind, model_name, offset, config, executor=executor, cache=cache
-        )
-    return comparison
-
-
 @dataclass(frozen=True)
 class AccuracyGridConfig:
     """Per-grid configuration for the accuracy panel's cells.
 
-    ``models`` rides along (despite also being an axis) because each
-    model's detector seed offset is its position in the compared tuple —
-    the :func:`run_accuracy_comparison` convention, preserved so grid
-    cells are bit-identical to it.
+    Each model's detector seed offset is its position in ``models``.
     """
 
     kind: CallKind
@@ -295,28 +194,27 @@ class AccuracyGridConfig:
     models: tuple[str, ...]
 
 
-def _accuracy_grid_cell(
+def _program_cell(
     point: Mapping[str, object],
     config: AccuracyGridConfig,
     seed: int,
     cache: ArtifactCache | None,
-) -> ModelAccuracy:
-    """One (program, model) cell under the unified grid contract.
+) -> AccuracyComparison:
+    """One program's comparison: the accuracy grid's cell.
 
-    The derived grid ``seed`` is deliberately unused: accuracy cells seed
-    from ``config.experiment`` exactly like the legacy runner, so numbers
-    match historical panels bit-for-bit (the grid seed still participates
-    in the cache key, keeping differently-seeded grids distinct).
+    The program's workload is prepared once and shared by every model.
+    The derived grid ``seed`` is deliberately unused: models seed from
+    ``config.experiment``, so numbers match historical panels bit for bit
+    (the grid seed still participates in the cache key, keeping
+    differently-seeded grids distinct).
     """
-    model_name = str(point["model"])
-    return _accuracy_cell_task(
-        str(point["program"]),
-        config.kind,
-        model_name,
-        config.models.index(model_name),
-        config.experiment,
-        cache,
-    )
+    data = prepare_program(str(point["program"]), config.experiment)
+    comparison = AccuracyComparison(program=data.program.name, kind=config.kind)
+    for offset, model_name in enumerate(config.models):
+        comparison.results[model_name] = _model_accuracy_cell(
+            data, config.kind, model_name, offset, config.experiment, cache
+        )
+    return comparison
 
 
 def accuracy_grid(
@@ -327,38 +225,48 @@ def accuracy_grid(
 ) -> GridSpec:
     """The Figures 2-5 accuracy panel as a :class:`~repro.runtime.GridSpec`.
 
-    Run it with :func:`repro.api.run_grid` — the same surface as the
-    robustness grid — then shape the cells with
-    :func:`accuracy_comparisons`.  With a cache the panel is resumable
-    per cell, exactly like every other grid.
+    One cell per program, comparing every model on that program.  Run it
+    with :func:`repro.api.run_grid` — the same surface as the robustness
+    grid — then key the cells by program with :func:`accuracy_comparisons`.
+    With a cache the panel is resumable per program.
     """
     experiment = config or ExperimentConfig()
     return GridSpec(
         name="accuracy",
-        axes=(
-            GridAxis("program", tuple(program_names)),
-            GridAxis("model", tuple(models)),
-        ),
-        cell=_accuracy_grid_cell,
+        axes=(GridAxis("program", tuple(program_names)),),
+        cell=_program_cell,
         config=AccuracyGridConfig(
             kind=CallKind(kind), experiment=experiment, models=tuple(models)
         ),
         seed=experiment.seed,
-        version=1,
+        version=2,
     )
 
 
 def accuracy_comparisons(result: GridResult) -> dict[str, AccuracyComparison]:
-    """Shape an accuracy grid's cells into per-program comparisons."""
-    comparisons: dict[str, AccuracyComparison] = {}
-    kind = result.spec.config.kind
-    for point, accuracy in result:
-        comparison = comparisons.setdefault(
-            point["program"],
-            AccuracyComparison(program=accuracy.program, kind=kind),
-        )
-        comparison.results[point["model"]] = accuracy
-    return comparisons
+    """An accuracy grid's cells keyed by program."""
+    return {point["program"]: comparison for point, comparison in result}
+
+
+def run_accuracy_comparison(
+    program_name: str,
+    kind: CallKind,
+    config: ExperimentConfig | None = None,
+    models: tuple[str, ...] = MODEL_NAMES,
+    cache: ArtifactCache | None = None,
+) -> AccuracyComparison:
+    """Cross-validate the compared models on one program × call kind.
+
+    Normal segments come from the workload suite; abnormal segments are
+    Abnormal-S (Section V-A).  Each model observes its own symbol form
+    (context or bare), exactly as in the paper's comparisons.
+
+    This is the one-program run of :func:`accuracy_grid`: with a
+    ``cache`` the whole comparison is stored as the grid's cell (and each
+    fold's trained model beside it), so a repeated call resumes it.
+    """
+    spec = accuracy_grid((program_name,), kind, config, models)
+    return run_grid(spec, cache=cache).cells[0]
 
 
 # ---------------------------------------------------------------------------

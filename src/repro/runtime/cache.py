@@ -136,11 +136,12 @@ def program_fingerprint(program: Program) -> str:
 
 @dataclass
 class CacheStats:
-    """Hit/miss/eviction/corruption counters, surfaced in results.
+    """Hit/miss/eviction/corruption counters of one process's cache handle.
 
-    Parallel workers hold their own (process-local) cache handle; their
-    deltas are merged back into the coordinating process's stats via
-    :meth:`merge`.
+    A worker process counts against its own copy, so these counters see
+    only the calling process's lookups.  With telemetry on, every bump is
+    mirrored into the ``cache.*`` counters, which do travel back from
+    workers (see :class:`repro.runtime.ParallelExecutor`).
     """
 
     hits: int = 0
@@ -154,13 +155,6 @@ class CacheStats:
         ``cache.<event>``) when telemetry is enabled."""
         setattr(self, event, getattr(self, event) + amount)
         telemetry.counter_add(f"cache.{event}", amount)
-
-    def merge(self, other: "CacheStats") -> None:
-        self.hits += other.hits
-        self.misses += other.misses
-        self.evictions += other.evictions
-        self.corrupt += other.corrupt
-        self.writes += other.writes
 
     def as_dict(self) -> dict[str, int]:
         return {
@@ -300,8 +294,8 @@ class ArtifactCache:
             path.unlink(missing_ok=True)
             self.stats.count("evictions")
 
-    # Cache handles cross process boundaries (workers get their own
-    # counters and report deltas back to the coordinator).
+    # Cache handles cross process boundaries; each worker counts against
+    # fresh, process-local stats.
     def __getstate__(self) -> dict[str, Any]:
         return {"root": self.root, "max_entries": self.max_entries}
 

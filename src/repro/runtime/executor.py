@@ -1,9 +1,10 @@
 """Process-pool fan-out with a deterministic serial fallback.
 
-The evaluation pipeline decomposes into independent cells — (program,
-model, fold) — whose inputs are fully determined by configuration and
-seed.  :class:`ParallelExecutor` runs such cells across worker processes
-and guarantees **bit-identical results to a serial run**:
+The evaluation pipeline decomposes into independent grid cells — one
+program's accuracy comparison, one (program, model, attack, severity)
+robustness measurement — whose inputs are fully determined by
+configuration and seed.  :class:`ParallelExecutor` runs such cells across
+worker processes and guarantees **bit-identical results to a serial run**:
 
 * results return in submission order, never completion order;
 * tasks carry every seed they need explicitly (see

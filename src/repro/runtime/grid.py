@@ -1,7 +1,7 @@
 """Resumable measurement grids: one spec, any cell function.
 
 A *grid* is the cartesian product of named axes — (program × model ×
-attack × severity), (program × model), ... — where every cell is a pure
+attack × severity), (program), ... — where every cell is a pure
 function of (spec configuration, cell point, derived seed).  That purity
 buys three properties the evaluation layer keeps re-implementing, now in
 one place:

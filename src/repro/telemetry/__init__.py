@@ -1,4 +1,4 @@
-"""Telemetry: spans, metrics, and profiling hooks for the whole pipeline.
+"""Telemetry: spans and metrics for the whole pipeline.
 
 (Named ``telemetry`` — not ``tracing`` — because :mod:`repro.tracing` is
 the *program-trace* substrate; this package is about observing the
@@ -12,10 +12,9 @@ Everything routes through one module-level switch:
   golden-number suite (``tests/test_golden.py``) proves results are
   bit-identical with telemetry on or off.
 * **Enabled** (:func:`enable`, :func:`session`, or the CLI's
-  ``--metrics-out`` / ``REPRO_METRICS_OUT``) — spans build timed trees,
+  ``--metrics-out`` / ``REPRO_METRICS_OUT``) — spans build timed trees and
   counters/gauges/histograms accumulate in a
-  :class:`~repro.telemetry.metrics.MetricsRegistry`, and registered
-  :class:`~repro.telemetry.profiler.ProfilerHook` objects see every event.
+  :class:`~repro.telemetry.metrics.MetricsRegistry`.
 
 :func:`snapshot` exports the registry as a plain JSON-safe dict (see
 ``docs/telemetry.md`` for the schema and metric catalog), and
@@ -49,24 +48,18 @@ from .metrics import (
     Histogram,
     MetricsRegistry,
 )
-from .profiler import CollectingProfiler, Profiler, ProfilerHook, SlowSpanProfiler
 from .spans import NOOP_SPAN, Span, Tracer
 
 __all__ = [
-    "CollectingProfiler",
     "Counter",
     "DEFAULT_SCORE_BUCKETS",
     "DEFAULT_SECONDS_BUCKETS",
     "Gauge",
     "Histogram",
     "MetricsRegistry",
-    "Profiler",
-    "ProfilerHook",
-    "SlowSpanProfiler",
     "Span",
     "Telemetry",
     "Tracer",
-    "add_profiler",
     "counter_add",
     "disable",
     "enable",
@@ -76,7 +69,6 @@ __all__ = [
     "merge_snapshot",
     "observe",
     "observe_many",
-    "remove_profiler",
     "session",
     "snapshot",
     "span",
@@ -86,11 +78,10 @@ __all__ = [
 
 @dataclass
 class Telemetry:
-    """One enabled telemetry context: registry + tracer + profiler."""
+    """One enabled telemetry context: registry + tracer."""
 
     registry: MetricsRegistry
     tracer: Tracer
-    profiler: Profiler
 
 
 #: The active context, or ``None`` when telemetry is off.  Instrumented
@@ -115,12 +106,7 @@ def enable(
     """Switch telemetry on (replacing any active context) and return it."""
     global _STATE
     registry = registry if registry is not None else MetricsRegistry()
-    profiler = Profiler()
-    _STATE = Telemetry(
-        registry=registry,
-        tracer=Tracer(registry, max_roots=max_roots, profiler=profiler),
-        profiler=profiler,
-    )
+    _STATE = Telemetry(registry=registry, tracer=Tracer(registry, max_roots=max_roots))
     return _STATE
 
 
@@ -167,8 +153,6 @@ def counter_add(name: str, amount: float = 1) -> None:
     if state is None:
         return
     state.registry.counter(name).inc(amount)
-    if state.profiler:
-        state.profiler.metric("counter", name, amount)
 
 
 def gauge_set(name: str, value: float) -> None:
@@ -177,8 +161,6 @@ def gauge_set(name: str, value: float) -> None:
     if state is None:
         return
     state.registry.gauge(name).set(value)
-    if state.profiler:
-        state.profiler.metric("gauge", name, value)
 
 
 def observe(
@@ -189,8 +171,6 @@ def observe(
     if state is None:
         return
     state.registry.histogram(name, boundaries).observe(value)
-    if state.profiler:
-        state.profiler.metric("histogram", name, value)
 
 
 def observe_many(
@@ -202,23 +182,7 @@ def observe_many(
     state = _STATE
     if state is None:
         return
-    histogram = state.registry.histogram(name, boundaries)
-    histogram.observe_many(values)
-    if state.profiler:
-        for value in values:
-            state.profiler.metric("histogram", name, float(value))
-
-
-def add_profiler(hook: ProfilerHook) -> ProfilerHook:
-    """Register a profiling hook on the active context (raises if off)."""
-    if _STATE is None:
-        raise RuntimeError("telemetry is disabled; call enable() first")
-    return _STATE.profiler.add(hook)
-
-
-def remove_profiler(hook: ProfilerHook) -> None:
-    if _STATE is not None:
-        _STATE.profiler.remove(hook)
+    state.registry.histogram(name, boundaries).observe_many(values)
 
 
 # ---------------------------------------------------------------------------

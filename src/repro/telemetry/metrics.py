@@ -134,9 +134,7 @@ class MetricsRegistry:
 
     Metric accessors create on first use, so instrumented code never
     pre-registers anything.  The registry holds no locks, thread-locals, or
-    open handles — it pickles cleanly across process boundaries (the same
-    requirement :class:`repro.core.registry.DetectorSpec` satisfies for
-    parallel cross-validation).
+    open handles — it pickles cleanly across process boundaries.
     """
 
     counters: dict[str, Counter] = field(default_factory=dict)

@@ -103,13 +103,10 @@ class Tracer:
         registry: destination for per-name span aggregates.
         max_roots: how many completed root-span trees to retain (oldest
             dropped first) — bounds memory on long runs.
-        profiler: optional :class:`~repro.telemetry.profiler.Profiler`
-            notified on every span start/end.
     """
 
-    def __init__(self, registry, max_roots: int = 64, profiler=None) -> None:
+    def __init__(self, registry, max_roots: int = 64) -> None:
         self.registry = registry
-        self.profiler = profiler
         self.roots: Deque[Span] = deque(maxlen=max_roots)
         self._stack: list[Span] = []
 
@@ -126,8 +123,6 @@ class Tracer:
         if self._stack:
             self._stack[-1].children.append(span)
         self._stack.append(span)
-        if self.profiler:
-            self.profiler.span_start(span)
 
     def _pop(self, span: Span) -> None:
         # Tolerate exits arriving out of order (a span kept alive past its
@@ -139,8 +134,6 @@ class Tracer:
         if not self._stack:
             self.roots.append(span)
         self.registry.record_span(span.name, span.wall_s, span.cpu_s)
-        if self.profiler:
-            self.profiler.span_end(span)
 
     def trees(self) -> list[dict]:
         """The retained completed root spans, oldest first."""

@@ -1,8 +1,7 @@
 """Golden-number regression suite: telemetry must be provably inert.
 
 One fixed (program, seed, config) cell is evaluated twice — telemetry off
-and telemetry on (with a profiler hook attached, the most intrusive
-configuration) — and every number must be **bit-identical**: detector
+and telemetry on — and every number must be **bit-identical**: detector
 scores, trained-HMM parameters (compared exactly and by content hash),
 and cross-validation metrics.  A separate set of golden literals pins the
 values themselves (with a small tolerance for cross-platform BLAS
@@ -31,7 +30,6 @@ from repro.hmm import TrainingConfig
 from repro.hmm.model import HiddenMarkovModel
 from repro.program import CallKind, load_program
 from repro.runtime import stable_hash
-from repro.telemetry import CollectingProfiler
 from repro.tracing import build_segment_set, run_workload
 
 SEED = 23
@@ -112,7 +110,6 @@ def cell_off() -> CellOutcome:
 @pytest.fixture(scope="module")
 def cell_on() -> CellOutcome:
     with telemetry.session():
-        telemetry.add_profiler(CollectingProfiler())
         return _run_cell()
 
 

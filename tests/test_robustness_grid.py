@@ -340,9 +340,10 @@ class TestCli:
 
 @pytest.mark.stress
 def test_sigkill_mid_grid_resumes_bit_identical(tmp_path):
-    """Kill -9 a running grid, resume it, and demand byte-equality with an
-    uninterrupted run (the ISSUE's acceptance scenario, in miniature)."""
+    """Kill -9 a running grid once its first cell is on disk, resume it,
+    and demand byte-equality with an uninterrupted run."""
     env = {**os.environ, "PYTHONPATH": str(REPO_ROOT / "src")}
+    severities = [1, 2]
 
     def args(cache: str, corpus: str) -> list[str]:
         return [
@@ -352,10 +353,20 @@ def test_sigkill_mid_grid_resumes_bit_identical(tmp_path):
             "--programs", "gzip",
             "--models", "regular-basic",
             "--attacks", "gap",
-            "--severities", "1", "2",
+            "--severities", *map(str, severities),
             "--corpus-out", str(tmp_path / corpus),
         ]
 
+    # The grid the CLI builds from those flags (default kind and seed), to
+    # watch its cells land in the victim's cache.
+    grid = open_robustness_grid(
+        ["gzip"],
+        models=["regular-basic"],
+        attacks=["gap"],
+        severities=severities,
+        config=RobustnessConfig(kind="syscall"),
+        cache=ArtifactCache(tmp_path / "cache-a"),
+    )
     victim = subprocess.Popen(
         args("cache-a", "killed.json"),
         env=env,
@@ -363,7 +374,11 @@ def test_sigkill_mid_grid_resumes_bit_identical(tmp_path):
         stdout=subprocess.DEVNULL,
         stderr=subprocess.DEVNULL,
     )
-    time.sleep(3.0)
+    deadline = time.monotonic() + 120.0
+    while grid.cells_cached() == 0:
+        assert victim.poll() is None, "grid run exited before its first cell"
+        assert time.monotonic() < deadline, "no grid cell reached the cache"
+        time.sleep(0.01)
     victim.kill()  # SIGKILL: no atexit, no cache cleanup
     victim.wait()
 
@@ -375,6 +390,7 @@ def test_sigkill_mid_grid_resumes_bit_identical(tmp_path):
         text=True,
     )
     assert resumed.returncode == 0, resumed.stderr
+    assert f"resuming: 1/{grid.n_cells} cells cached" in resumed.stdout
     fresh = subprocess.run(
         args("cache-b", "fresh.json"),
         env=env,

@@ -2,10 +2,16 @@
 
 import dataclasses
 
+import numpy as np
 import pytest
 
+from repro import telemetry
+from repro.core import FoldOutcome
 from repro.eval import (
     FAST_CONFIG,
+    ModelAccuracy,
+    accuracy_comparisons,
+    accuracy_grid,
     prepare_program,
     run_accuracy_comparison,
     run_clustering_reduction,
@@ -13,6 +19,7 @@ from repro.eval import (
 )
 from repro.errors import EvaluationError
 from repro.program import CallKind
+from repro.runtime import ParallelExecutor, run_grid
 
 
 @pytest.fixture(scope="module")
@@ -33,6 +40,13 @@ class TestPrepareProgram:
         bare = data.segment_set(CallKind.SYSCALL, False, 15)
         assert ctx is not bare
         assert set(ctx.alphabet()) != set(bare.alphabet())
+
+    def test_segment_sets_keyed_by_length(self):
+        data = prepare_program("gzip", FAST_CONFIG)
+        long = data.segment_set(CallKind.SYSCALL, True, 15)
+        short = data.segment_set(CallKind.SYSCALL, True, 10)
+        assert long is not short
+        assert (long.length, short.length) == (15, 10)
 
 
 class TestAccuracyComparison:
@@ -75,6 +89,57 @@ class TestAccuracyComparison:
         impossible = dataclasses.replace(tiny, folds=10_000)
         with pytest.raises((EvaluationError, Exception)):
             run_accuracy_comparison("sed", CallKind.SYSCALL, impossible)
+
+
+class TestAccuracyGrid:
+    """The accuracy panel's one path: one grid cell per program."""
+
+    SPEC = accuracy_grid(("sed", "gzip"), CallKind.SYSCALL, FAST_CONFIG)
+
+    @pytest.fixture(scope="class")
+    def runs(self):
+        runs = {}
+        for jobs in (1, 2):
+            with telemetry.session():
+                result = run_grid(self.SPEC, executor=ParallelExecutor(jobs=jobs))
+                runs[jobs] = (accuracy_comparisons(result), telemetry.snapshot())
+        return runs
+
+    def test_one_cell_per_program(self, runs):
+        comparisons, _ = runs[1]
+        assert self.SPEC.n_cells == 2
+        assert list(comparisons) == ["sed", "gzip"]
+        for program, comparison in comparisons.items():
+            assert comparison.program == program
+            assert list(comparison.results) == list(self.SPEC.config.models)
+
+    def test_each_program_prepared_once(self, runs):
+        for _, snapshot in runs.values():
+            assert snapshot["spans"]["eval.prepare_program"]["count"] == 2
+            assert snapshot["spans"]["eval.cell"]["count"] == 8
+
+    def test_parallel_matches_serial(self, runs):
+        # Everything but the wall-clock training times must match.
+        serial, _ = runs[1]
+        parallel, _ = runs[2]
+        for program, comparison in serial.items():
+            for model, ours in comparison.results.items():
+                theirs = parallel[program].results[model]
+                for f in dataclasses.fields(ModelAccuracy):
+                    if f.name not in ("train_seconds", "cross_validation"):
+                        assert getattr(ours, f.name) == getattr(theirs, f.name)
+                cv_ours, cv_theirs = ours.cross_validation, theirs.cross_validation
+                assert cv_ours.detector_name == cv_theirs.detector_name
+                assert len(cv_ours.folds) == len(cv_theirs.folds) == FAST_CONFIG.folds
+                for fold_a, fold_b in zip(cv_ours.folds, cv_theirs.folds):
+                    for f in dataclasses.fields(FoldOutcome):
+                        if f.name == "train_seconds":
+                            continue
+                        a, b = getattr(fold_a, f.name), getattr(fold_b, f.name)
+                        if isinstance(a, np.ndarray):
+                            assert np.array_equal(a, b)
+                        else:
+                            assert a == b
 
 
 class TestClusteringRunner:

@@ -1,5 +1,5 @@
-"""Unit tests for the telemetry layer: registry, spans, profiler hooks,
-module-level switch, snapshot export, and executor merge-back parity."""
+"""Unit tests for the telemetry layer: registry, spans, module-level
+switch, snapshot export, and executor merge-back parity."""
 
 from __future__ import annotations
 
@@ -10,19 +10,10 @@ import numpy as np
 import pytest
 
 from repro import telemetry
-from repro.core import DetectorConfig
-from repro.core.crossval import cross_validate
-from repro.core.registry import detector_spec
-from repro.hmm import TrainingConfig
+from repro.eval import ExperimentConfig, accuracy_comparisons, accuracy_grid
 from repro.program import CallKind
-from repro.runtime import ParallelExecutor
-from repro.telemetry import (
-    CollectingProfiler,
-    Histogram,
-    MetricsRegistry,
-    SlowSpanProfiler,
-)
-from repro.tracing import build_segment_set, run_workload
+from repro.runtime import ParallelExecutor, run_grid
+from repro.telemetry import Histogram, MetricsRegistry
 
 
 @pytest.fixture(autouse=True)
@@ -51,10 +42,6 @@ class TestDisabledDefault:
         snap = telemetry.snapshot()
         assert snap["enabled"] is False
         assert snap["counters"] == {}
-
-    def test_add_profiler_requires_enabled(self):
-        with pytest.raises(RuntimeError):
-            telemetry.add_profiler(CollectingProfiler())
 
 
 class TestRegistry:
@@ -164,40 +151,6 @@ class TestSpans:
         assert [t["name"] for t in trees] == ["s6", "s7", "s8", "s9"]
 
 
-class TestProfiler:
-    def test_collecting_profiler_sees_events(self):
-        with telemetry.session():
-            hook = telemetry.add_profiler(CollectingProfiler())
-            with telemetry.span("s"):
-                telemetry.counter_add("c", 2)
-                telemetry.gauge_set("g", 1.5)
-                telemetry.observe("h", -1.0)
-        kinds = [event[0] for event in hook.events]
-        assert kinds == [
-            "span_start", "metric_counter", "metric_gauge",
-            "metric_histogram", "span_end",
-        ]
-        assert ("metric_counter", "c", 2.0) in hook.events
-
-    def test_remove_profiler(self):
-        with telemetry.session():
-            hook = telemetry.add_profiler(CollectingProfiler())
-            telemetry.remove_profiler(hook)
-            telemetry.counter_add("c")
-        assert hook.events == []
-
-    def test_slow_span_profiler_thresholds(self):
-        with telemetry.session():
-            hook = telemetry.add_profiler(SlowSpanProfiler(threshold_s=0.0))
-            with telemetry.span("always-slow"):
-                pass
-            fussy = telemetry.add_profiler(SlowSpanProfiler(threshold_s=3600.0))
-            with telemetry.span("never-slow"):
-                pass
-        assert ("always-slow", hook.slow[0][1]) in hook.slow
-        assert fussy.slow == []
-
-
 class TestSessionIsolation:
     def test_session_restores_previous_state(self):
         outer = telemetry.enable()
@@ -241,55 +194,48 @@ def _comparable(snapshot: dict) -> dict:
 
 
 class TestJobsParity:
-    """--jobs 2 and --jobs 1 must produce identical merged counters (the
-    PR's bugfix satellite: worker registries merge back cleanly)."""
+    """--jobs 2 and --jobs 1 must produce identical merged counters: worker
+    registries merge back cleanly through a grid run."""
 
-    @pytest.fixture(scope="class")
-    def cv_inputs(self, gzip_program):
-        workload = run_workload(gzip_program, n_cases=30, seed=5)
-        segments = build_segment_set(
-            workload.traces, CallKind.SYSCALL, context=True
-        )
-        abnormal = segments.segments()[:20]
-        factory = detector_spec(
-            "stilo",
-            gzip_program,
-            CallKind.SYSCALL,
-            config=DetectorConfig(
-                training=TrainingConfig(max_iterations=3),
-                max_training_segments=200,
-                seed=2,
-            ),
-        )
-        return factory, segments, abnormal
+    #: Two program cells, one model, two folds each.
+    SPEC = accuracy_grid(
+        ("gzip", "sed"),
+        CallKind.SYSCALL,
+        ExperimentConfig(
+            n_cases=30,
+            folds=2,
+            n_abnormal=20,
+            max_training_segments=200,
+            training_iterations=3,
+            seed=2,
+        ),
+        models=("stilo",),
+    )
 
-    def _run(self, cv_inputs, jobs: int) -> tuple[dict, object]:
-        factory, segments, abnormal = cv_inputs
+    def _run(self, jobs: int) -> tuple[dict, dict]:
         with telemetry.session():
-            result = cross_validate(
-                factory,
-                segments,
-                abnormal,
-                k=4,
-                seed=0,
-                executor=ParallelExecutor(jobs=jobs),
-            )
+            result = run_grid(self.SPEC, executor=ParallelExecutor(jobs=jobs))
             snap = telemetry.snapshot()
-        return snap, result
+        return snap, accuracy_comparisons(result)
 
-    def test_parallel_counters_match_serial(self, cv_inputs):
-        serial_snap, serial_result = self._run(cv_inputs, jobs=1)
-        parallel_snap, parallel_result = self._run(cv_inputs, jobs=2)
+    def test_parallel_counters_match_serial(self):
+        serial_snap, serial_result = self._run(jobs=1)
+        parallel_snap, parallel_result = self._run(jobs=2)
         assert _comparable(parallel_snap) == _comparable(serial_snap)
         # Sanity: fold counters actually recorded, and scores unchanged.
         assert serial_snap["counters"]["crossval.folds"] == 4
-        for fold_a, fold_b in zip(serial_result.folds, parallel_result.folds):
-            assert np.array_equal(fold_a.normal_scores, fold_b.normal_scores)
+        for program, comparison in serial_result.items():
+            serial_folds = comparison.results["stilo"].cross_validation.folds
+            parallel_folds = (
+                parallel_result[program].results["stilo"].cross_validation.folds
+            )
+            for fold_a, fold_b in zip(serial_folds, parallel_folds):
+                assert np.array_equal(fold_a.normal_scores, fold_b.normal_scores)
 
-    def test_worker_span_timings_travel_back(self, cv_inputs):
-        parallel_snap, _ = self._run(cv_inputs, jobs=2)
+    def test_worker_span_timings_travel_back(self):
+        parallel_snap, _ = self._run(jobs=2)
         spans = parallel_snap["spans"]
-        assert spans["executor.task"]["count"] == 4
+        assert spans["executor.task"]["count"] == 2
         # Fold work happened in worker processes, yet its wall time made it
         # back to the coordinator through snapshot merge-back.
         assert spans["crossval.fold"]["count"] == 4
