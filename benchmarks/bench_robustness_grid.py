@@ -2,12 +2,14 @@
 
 Not a paper table: this bench tracks the adversarial robustness harness
 (``repro.robustness``) end to end.  It runs one grid (programs × detector
-variants × attack families × severities) twice through the public facade —
+variants × attack families × severities) twice through ``run_grid`` —
 
-* **cold** — empty cache, every cell computed; cells/s is the registered
-  throughput metric (each cell trains-or-shares an HMM, derives an
-  operating point, and runs a full attack family),
-* **resumed** — same cache, every cell loaded; the measured-corpus
+* **cold** — empty cache, every grid cell computed (one per program ×
+  model: one trained HMM and its operating point, attacked by every
+  family at every severity); measurements/s — ``cells_per_s``, counting
+  programs × models × attacks × severities — is the registered
+  throughput metric,
+* **resumed** — same cache, every grid cell loaded; the measured-corpus
   ``cells`` and ``summary`` blocks must be **bit-identical** to the cold
   run's (the ``meta`` block records provenance and legitimately differs).
 
@@ -37,7 +39,7 @@ from common import (  # noqa: E402
     shape_line,
 )
 
-from repro.api import open_robustness_grid  # noqa: E402
+from repro.api import build_corpus, robustness_grid, run_grid  # noqa: E402
 from repro.runtime import ArtifactCache, ParallelExecutor, default_jobs  # noqa: E402
 
 SMOKE_MODELS = ("regular-basic", "regular-context")
@@ -53,37 +55,34 @@ def _measurement(corpus: dict) -> dict:
     return {"cells": corpus["cells"], "summary": corpus["summary"]}
 
 
-def _open(cache_dir: Path, smoke: bool):
-    return open_robustness_grid(
+def run(smoke: bool, output: Path) -> int:
+    spec = robustness_grid(
         ["gzip"],
         models=SMOKE_MODELS if smoke else FULL_MODELS,
         attacks=SMOKE_ATTACKS if smoke else FULL_ATTACKS,
         severities=SMOKE_SEVERITIES if smoke else FULL_SEVERITIES,
-        executor=ParallelExecutor(jobs=default_jobs()),
-        cache=ArtifactCache(cache_dir),
     )
-
-
-def run(smoke: bool, output: Path) -> int:
+    executor = ParallelExecutor(jobs=default_jobs())
     cache_dir = Path(tempfile.mkdtemp(prefix="bench-robustness-"))
     try:
-        grid = _open(cache_dir, smoke)
+        cache = ArtifactCache(cache_dir)
         started = time.perf_counter()
-        cold_result = grid.run(resume=False)
+        cold_result = run_grid(spec, executor=executor, cache=cache, resume=False)
         cold_s = time.perf_counter() - started
-        cold_corpus = grid.corpus()
+        cold_corpus = build_corpus(cold_result)
 
-        grid = _open(cache_dir, smoke)  # fresh handle, same cache
         started = time.perf_counter()
-        resumed_result = grid.run(resume=True)
+        resumed_result = run_grid(spec, executor=executor, cache=cache)
         resumed_s = time.perf_counter() - started
-        resumed_corpus = grid.corpus()
+        resumed_corpus = build_corpus(resumed_result)
     finally:
         shutil.rmtree(cache_dir, ignore_errors=True)
 
-    n_cells = grid.n_cells
+    # Measurements (programs × models × attacks × severities), not grid
+    # cells: the gated cells_per_s floor is a measurement rate.
+    n_cells = cold_corpus["grid"]["n_cells"]
     bit_identical = _measurement(cold_corpus) == _measurement(resumed_corpus)
-    all_resumed = resumed_result.resumed == n_cells
+    all_resumed = resumed_result.resumed == spec.n_cells
     claims = cold_corpus["summary"]["claims"]
     mimicry_lowers = bool(claims["mimicry_lowers_detection"])
     context_ge_basic = bool(claims["regular_context_ge_basic"])
@@ -132,7 +131,8 @@ def run(smoke: bool, output: Path) -> int:
             f"{len(SMOKE_SEVERITIES if smoke else FULL_SEVERITIES)} severities)",
             f"  cold     {cold_s:7.2f} s ({n_cells / cold_s:8.2f} cells/s)",
             f"  resumed  {resumed_s:7.2f} s "
-            f"({resumed_result.resumed}/{n_cells} loaded from cache)",
+            f"({resumed_result.resumed}/{spec.n_cells} grid cells loaded "
+            f"from cache)",
             f"  pooled detection under attack: "
             f"basic {claims['regular_basic_detection']:.3f}, "
             f"context {claims['regular_context_detection']:.3f}",

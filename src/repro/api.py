@@ -19,8 +19,8 @@ grid gets the same resumable, content-addressed, parallel runner::
     result = api.run_grid(api.accuracy_grid(["gzip"], "syscall"))
     comparisons = api.accuracy_comparisons(result)
 
-    grid = api.open_robustness_grid(["gzip"])
-    corpus = grid.corpus()          # runs (resuming) then summarises
+    result = api.run_grid(api.robustness_grid(["gzip"]))
+    corpus = api.build_corpus(result)   # versioned JSON artifact
 
 The deeper modules (:mod:`repro.core`, :mod:`repro.hmm`, ...) stay
 importable for research use.
@@ -71,8 +71,7 @@ from .robustness import (
     ATTACK_FAMILIES,
     DEFAULT_SEVERITIES,
     RobustnessConfig,
-    RobustnessGrid,
-    open_robustness_grid,
+    build_corpus,
     robustness_grid,
 )
 from .runtime.grid import GridAxis, GridResult, GridSpec, run_grid
@@ -93,9 +92,9 @@ __all__ = [
     "GridSpec",
     "PretrainedDetector",
     "RobustnessConfig",
-    "RobustnessGrid",
     "accuracy_comparisons",
     "accuracy_grid",
+    "build_corpus",
     "build_detector",
     "detector_spec",
     "fit",
@@ -105,7 +104,6 @@ __all__ = [
     "open_gateway",
     "open_monitor",
     "open_registry",
-    "open_robustness_grid",
     "open_service",
     "robustness_grid",
     "run_grid",

@@ -68,8 +68,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--jobs", type=int, default=None, metavar="N",
-        help="worker processes for parallel experiment cells "
-             "(default: $REPRO_JOBS or 1; results are identical at any N)")
+        help="worker processes for the robustness grid's cells, the one "
+             "command that fans out (default: $REPRO_JOBS or 1; results "
+             "are identical at any N)")
     parser.add_argument(
         "--cache-dir", type=Path, default=None, metavar="PATH",
         help="content-addressed artifact cache for trained models and "
@@ -215,8 +216,8 @@ def build_parser() -> argparse.ArgumentParser:
                                  f"{' '.join(map(str, DEFAULT_SEVERITIES))})")
     robustness.add_argument("--kind", type=_kind, default=CallKind.SYSCALL)
     robustness.add_argument("--seed", type=int, default=0,
-                            help="grid seed; every cell derives its own "
-                                 "stream from it (default: 0)")
+                            help="grid seed; every attack run derives its "
+                                 "own stream from it (default: 0)")
     robustness.add_argument("--resume", action=argparse.BooleanOptionalAction,
                             default=True,
                             help="load finished cells from --cache-dir "
@@ -250,29 +251,22 @@ def build_parser() -> argparse.ArgumentParser:
 # ---------------------------------------------------------------------------
 
 
-def runtime_from_args(
-    args: argparse.Namespace,
-) -> tuple[ParallelExecutor, ArtifactCache | None]:
-    """Resolve --jobs/--cache-dir/--no-cache (env vars as fallback)."""
-    if args.jobs is not None:
-        jobs = clamp_jobs(max(1, args.jobs), source="--jobs")
-    else:
-        jobs = default_jobs()  # REPRO_JOBS, already clamped
-    executor = ParallelExecutor(jobs=jobs)
-    cache: ArtifactCache | None = None
-    if not args.no_cache:
-        cache_dir = args.cache_dir
-        if cache_dir is None:
-            env_dir = os.environ.get("REPRO_CACHE_DIR", "").strip()
-            cache_dir = Path(env_dir) if env_dir else None
-        if cache_dir is not None:
-            cache_dir = Path(cache_dir)
-            if cache_dir.exists() and not cache_dir.is_dir():
-                raise EvaluationError(
-                    f"--cache-dir {cache_dir} exists and is not a directory"
-                )
-            cache = ArtifactCache(cache_dir)
-    return executor, cache
+def cache_from_args(args: argparse.Namespace) -> ArtifactCache | None:
+    """Resolve --cache-dir/--no-cache (``REPRO_CACHE_DIR`` as fallback)."""
+    if args.no_cache:
+        return None
+    cache_dir = args.cache_dir
+    if cache_dir is None:
+        env_dir = os.environ.get("REPRO_CACHE_DIR", "").strip()
+        cache_dir = Path(env_dir) if env_dir else None
+    if cache_dir is None:
+        return None
+    cache_dir = Path(cache_dir)
+    if cache_dir.exists() and not cache_dir.is_dir():
+        raise EvaluationError(
+            f"--cache-dir {cache_dir} exists and is not a directory"
+        )
+    return ArtifactCache(cache_dir)
 
 
 def _cmd_corpus() -> int:
@@ -351,7 +345,7 @@ def _cmd_train(args: argparse.Namespace) -> int:
     from .core.crossval import trained_model_key
     from .core.registry import detector_spec
 
-    _, cache = runtime_from_args(args)
+    cache = cache_from_args(args)
     program = load_program(args.program)
     workload = run_workload(program, n_cases=args.cases, seed=args.seed)
     context = model_is_context_sensitive(args.model)
@@ -482,7 +476,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 
     if args.mode == "monitor" and args.threshold is None:
         raise ServiceError("--mode monitor needs --threshold")
-    _, cache = runtime_from_args(args)
+    cache = cache_from_args(args)
     model = resolve_model(args.model_source, cache=cache)
     detector = PretrainedDetector(model, kind=args.kind, name="served")
     traces = read_traces(args.trace_file)
@@ -585,7 +579,7 @@ def _cmd_gateway(args: argparse.Namespace) -> int:
 
     if not telemetry.enabled():
         telemetry.enable()  # /metrics wants gateway.*/service.* counters
-    _, cache = runtime_from_args(args)
+    cache = cache_from_args(args)
     model = resolve_model(args.model_source, cache=cache)
     detector = PretrainedDetector(model, kind=args.kind, name=args.name)
     config = ServiceConfig(
@@ -636,27 +630,41 @@ def _cmd_gateway(args: argparse.Namespace) -> int:
 
 
 def _cmd_robustness(args: argparse.Namespace) -> int:
-    from .robustness import RobustnessConfig, open_robustness_grid
-    from .robustness.corpus import write_corpus
+    from .robustness import (
+        RobustnessConfig,
+        build_corpus,
+        render_report,
+        robustness_grid,
+        write_corpus,
+    )
+    from .runtime.grid import grid_cells_cached, run_grid
 
-    executor, cache = runtime_from_args(args)
-    grid = open_robustness_grid(
+    # The one command that fans out, so the one that resolves --jobs.
+    if args.jobs is not None:
+        jobs = clamp_jobs(max(1, args.jobs), source="--jobs")
+    else:
+        jobs = default_jobs()  # REPRO_JOBS, already clamped
+    cache = cache_from_args(args)
+    spec = robustness_grid(
         args.programs,
         models=args.models,
         attacks=args.attacks,
         severities=args.severities,
         config=RobustnessConfig(kind=args.kind.value),
         seed=args.seed,
-        executor=executor,
-        cache=cache,
     )
     if args.resume and cache is not None:
-        cached = grid.cells_cached()
+        cached = grid_cells_cached(spec, cache)
         if cached:
-            print(f"resuming: {cached}/{grid.n_cells} cells cached "
+            print(f"resuming: {cached}/{spec.n_cells} cells cached "
                   f"in {cache.root}", flush=True)
-    result = grid.run(resume=args.resume)
-    corpus = grid.corpus()
+    result = run_grid(
+        spec,
+        executor=ParallelExecutor(jobs=jobs),
+        cache=cache,
+        resume=args.resume,
+    )
+    corpus = build_corpus(result)
 
     rows = [
         [
@@ -684,13 +692,13 @@ def _cmd_robustness(args: argparse.Namespace) -> int:
         print(f"corpus -> {path}")
     if args.report_out is not None:
         args.report_out.parent.mkdir(parents=True, exist_ok=True)
-        args.report_out.write_text(grid.report())
+        args.report_out.write_text(render_report(corpus))
         print(f"report -> {args.report_out}")
     return 0
 
 
 def _cmd_report(args: argparse.Namespace) -> int:
-    _, cache = runtime_from_args(args)
+    cache = cache_from_args(args)
     if args.markdown is not None:
         from .eval import FAST_CONFIG, ReportSpec, write_report
 

@@ -13,18 +13,21 @@ bootstrap confidence intervals per cell.
 Typical use, via the facade::
 
     from repro import api
+    from repro.robustness import render_report
 
-    study = api.open_robustness_grid(["gzip"], cache=cache)
-    result = study.run()            # or .run(resume=True) after a crash
-    corpus = study.corpus()
-    print(study.report())
+    spec = api.robustness_grid(["gzip"])
+    result = api.run_grid(spec, cache=cache)    # resumes after a crash
+    corpus = api.build_corpus(result)
+    print(render_report(corpus))
 
 or on the CLI: ``python -m repro robustness --programs gzip --resume``.
 
-Grid cells are pure functions of (config, point, derived seed): a run
-killed mid-grid resumes from its artifact cache bit-identically, and the
-corpus' ``cells``/``summary`` blocks are byte-stable across resumes (CI
-enforces this with a kill-and-resume check).
+A grid cell is one (program, model) column: one trained detector that
+every attack × severity runs against.  Cells are pure functions of
+(config, point): a run killed mid-grid resumes its finished columns from
+the artifact cache bit-identically, and the corpus' ``cells``/``summary``
+blocks are byte-stable across resumes (CI enforces this with a
+kill-and-resume check).
 """
 
 from .attacks import (
@@ -50,8 +53,6 @@ from .grid import (
     DEFAULT_SEVERITIES,
     RobustnessCell,
     RobustnessConfig,
-    RobustnessGrid,
-    open_robustness_grid,
     robustness_grid,
 )
 
@@ -68,12 +69,10 @@ __all__ = [
     "MimicryProfile",
     "RobustnessCell",
     "RobustnessConfig",
-    "RobustnessGrid",
     "attack_family",
     "build_corpus",
     "craft_mimicry_stream",
     "load_corpus",
-    "open_robustness_grid",
     "render_report",
     "robustness_grid",
     "write_corpus",

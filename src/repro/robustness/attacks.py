@@ -67,11 +67,13 @@ UNMAPPED_CONTEXT = "[unmapped]"
 
 @dataclass
 class AttackContext:
-    """Everything one grid cell hands an attack family.
+    """Everything one grid cell hands its attack families.
 
-    Built once per cell by :func:`repro.robustness.grid._robustness_cell`;
-    the detector is already fitted and the threshold already derived at
-    the cell's FP budget.
+    Built once per (program, model) cell by
+    :func:`repro.robustness.grid._column_cell` and shared by every attack
+    × severity run of that cell: the detector is already fitted and the
+    threshold already derived at the cell's FP budget.  Families read it
+    and never mutate it.
     """
 
     detector: Detector

@@ -64,14 +64,22 @@ def build_corpus(result: GridResult) -> dict:
     """Export one robustness grid run as the versioned corpus artifact.
 
     Deterministic given the spec: every bootstrap interval is seeded from
-    the owning cell's derived seed, so a resumed run exports exactly the
-    same ``cells``/``summary`` bytes as an uninterrupted one.
+    its measurement's (program, model, attack, severity) point, so a
+    resumed run exports exactly the same ``cells``/``summary`` bytes as an
+    uninterrupted one.
     """
     spec = result.spec
-    cells: list[dict[str, Any]] = []
-    for point, cell in result:
-        if cell is None:
+    # Each grid cell is a (program, model) column of measurements.
+    measurements = []
+    for point, column in result:
+        if column is None:
             raise EvaluationError(f"grid cell at {point} is missing")
+        measurements.extend(
+            ({**point, "attack": cell.attack, "severity": cell.severity}, cell)
+            for cell in column
+        )
+    cells: list[dict[str, Any]] = []
+    for point, cell in measurements:
         seed = spec.cell_seed(point)
         cells.append(
             {
@@ -91,7 +99,7 @@ def build_corpus(result: GridResult) -> dict:
     # Pooled per (attack, model): instance flags concatenated across
     # programs and severities.
     pooled: dict[tuple[str, str], dict[str, list[bool]]] = {}
-    for point, cell in result:
+    for point, cell in measurements:
         bucket = pooled.setdefault(
             (point["attack"], point["model"]),
             {"attacked": [], "baseline": []},
@@ -137,8 +145,12 @@ def build_corpus(result: GridResult) -> dict:
             "name": spec.name,
             "seed": spec.seed,
             "spec_version": spec.version,
-            "axes": {axis.name: list(axis.values) for axis in spec.axes},
-            "n_cells": spec.n_cells,
+            "axes": {
+                **{axis.name: list(axis.values) for axis in spec.axes},
+                "attack": list(spec.config.attacks),
+                "severity": list(spec.config.severities),
+            },
+            "n_cells": len(measurements),
         },
         "cells": cells,
         "summary": {

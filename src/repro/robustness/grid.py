@@ -1,55 +1,55 @@
 """The robustness measurement grid: programs × models × attacks × severities.
 
-One cell = one trained detector at one operating point, attacked by one
-family at one severity.  Cells are pure functions of
-``(RobustnessConfig, point, derived seed)`` and run through the generic
-:mod:`repro.runtime.grid` machinery, which buys fan-out on
-:class:`~repro.runtime.ParallelExecutor`, per-cell content-addressed
-resume through :class:`~repro.runtime.ArtifactCache` (kill -9 mid-grid,
-rerun with ``resume=True``, get bit-identical results), and a shared
-``GridResult`` surface with the accuracy grid.
+One grid cell is one trained detector: a (program, model) column.  The
+cell prepares the program, splits its normal segments, fits the detector
+and derives its operating threshold once, then runs every attack family
+at every severity against it and returns the column's
+:class:`RobustnessCell` measurements in (attack, severity) order.  The
+grid therefore trains ``programs × models`` models (plus the drift
+family's retrainings) at any job count, with or without a cache.
 
-Within a (program, model) column every attack × severity cell derives the
-same train/holdout split and detector recipe, so the trained HMM is
-shared across cells through the cache's model store
-(:func:`~repro.core.crossval.trained_model_key`) — the grid trains
-``programs × models`` models, not ``programs × models × attacks ×
-severities``.
+Cells are pure functions of ``(RobustnessGridConfig, point)`` and run
+through the generic :mod:`repro.runtime.grid` machinery, which buys
+fan-out on :class:`~repro.runtime.ParallelExecutor`, per-column
+content-addressed resume through :class:`~repro.runtime.ArtifactCache`
+(kill -9 mid-grid, rerun with ``resume=True``, get bit-identical
+results), and a shared ``GridResult`` surface with the accuracy grid.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Any, Mapping, Sequence
 
 from .. import telemetry
-from ..core.crossval import trained_model_key
 from ..core.registry import MODEL_NAMES, detector_spec, model_is_context_sensitive
 from ..core.thresholds import threshold_for_fp_budget
 from ..errors import EvaluationError
 from ..eval.experiments import FAST_CONFIG, ExperimentConfig
 from ..eval.runners import prepare_program
 from ..program.calls import CallKind
-from ..runtime import ArtifactCache, GridAxis, GridSpec, ParallelExecutor
-from ..runtime.grid import GridResult, run_grid
+from ..runtime import ArtifactCache, GridAxis, GridSpec, derive_seed
 from .attacks import ATTACK_FAMILIES, AttackContext, AttackRunResult, attack_family
 
 __all__ = [
     "DEFAULT_SEVERITIES",
     "RobustnessCell",
     "RobustnessConfig",
-    "RobustnessGrid",
-    "open_robustness_grid",
+    "RobustnessGridConfig",
     "robustness_grid",
 ]
 
 #: Default severity ladder (each family maps steps onto its own knob).
 DEFAULT_SEVERITIES: tuple[int, ...] = (1, 2, 3)
 
+#: The grid's name: part of every cache key and of every derived seed.
+_GRID_NAME = "robustness"
+
 
 @dataclass(frozen=True)
 class RobustnessConfig:
-    """Everything a robustness cell needs beyond its grid point.
+    """Everything a robustness measurement needs beyond its grid point.
 
     Hashed whole into each cell's cache key — change a knob and every
     affected cell recomputes instead of resuming stale artifacts.
@@ -81,8 +81,23 @@ class RobustnessConfig:
 
 
 @dataclass(frozen=True)
+class RobustnessGridConfig:
+    """The robustness grid's cell config.
+
+    ``attacks`` and ``severities`` are the runs every (program, model)
+    cell makes; ``seed`` is the grid seed each run derives its own seed
+    from.
+    """
+
+    robustness: RobustnessConfig
+    attacks: tuple[str, ...]
+    severities: tuple[int, ...]
+    seed: int
+
+
+@dataclass(frozen=True)
 class RobustnessCell:
-    """One cell's measurements — deliberately free of wall-clock fields.
+    """One measurement — deliberately free of wall-clock fields.
 
     Resume correctness is checked by comparing resumed cells byte-for-byte
     against freshly computed ones, so nothing volatile (timings,
@@ -130,29 +145,30 @@ def _family_for(attack: str, config: RobustnessConfig):
     return attack_family(attack)
 
 
-def _robustness_cell(
+def _column_cell(
     point: Mapping[str, Any],
-    config: RobustnessConfig,
+    config: RobustnessGridConfig,
     seed: int,
     cache: ArtifactCache | None,
-) -> RobustnessCell:
-    """Train (or cache-load) the cell's detector, derive its operating
-    threshold, and run the cell's attack family against it.
+) -> tuple[RobustnessCell, ...]:
+    """One (program, model) column: the robustness grid's cell.
+
+    Fits the column's detector and derives its operating threshold once,
+    then runs every attack × severity against it.  Each run seeds from
+    its own (program, model, attack, severity) point under the grid seed,
+    so the column's derived ``seed`` is unused.
 
     The module-level signature is the :class:`~repro.runtime.GridSpec`
     cell contract — this function crosses process boundaries.
     """
     program_name = point["program"]
     model_name = point["model"]
-    attack = point["attack"]
-    severity = int(point["severity"])
-    experiment = config.experiment
-    kind = CallKind(config.kind)
+    knobs = config.robustness
+    experiment = knobs.experiment
+    kind = CallKind(knobs.kind)
     context = model_is_context_sensitive(model_name)
 
-    with telemetry.span(
-        "robustness.cell", program=program_name, model=model_name, attack=attack
-    ):
+    with telemetry.span("robustness.cell", program=program_name, model=model_name):
         data = prepare_program(program_name, experiment)
         segments = data.segment_set(kind, context, experiment.segment_length)
         if segments.n_unique < 8:
@@ -160,10 +176,8 @@ def _robustness_cell(
                 f"{program_name}/{kind.value}: too few segments "
                 f"({segments.n_unique}) for a robustness cell"
             )
-        # The split depends only on (program, model, config) — every
-        # attack × severity cell of this column trains the same model.
         train_part, holdout_part = segments.split(
-            [config.train_fraction, 1.0 - config.train_fraction],
+            [knobs.train_fraction, 1.0 - knobs.train_fraction],
             seed=experiment.seed,
         )
         factory = detector_spec(
@@ -178,20 +192,11 @@ def _robustness_cell(
             cluster_policy=experiment.cluster_policy(),
         )
         detector = factory()
-        key = (
-            trained_model_key(factory, train_part) if cache is not None else None
-        )
-        cached_model = cache.get_model(key) if cache is not None and key else None
-        if cached_model is not None:
-            detector.load_pretrained(cached_model)
-        else:
-            detector.fit(train_part)
-            if cache is not None and key is not None:
-                cache.put_model(key, detector.model)
+        detector.fit(train_part)
 
         holdout = holdout_part.segments()
         threshold = threshold_for_fp_budget(
-            detector.score(holdout), config.fp_budget
+            detector.score(holdout), knobs.fp_budget
         )
 
         carrier = []
@@ -199,8 +204,6 @@ def _robustness_cell(
             carrier = list(data.workload.traces[0].symbols(kind, context))
         # Rarest-first bare call names: mimicry payload material (the
         # calls a normal run barely touches are the ones worth hijacking).
-        from collections import Counter
-
         name_counts: Counter[str] = Counter()
         for segment in holdout:
             name_counts.update(s.split("@", 1)[0] for s in segment)
@@ -222,20 +225,28 @@ def _robustness_cell(
             normal_segments=holdout,
             carrier_symbols=carrier,
             bare_names=bare_names,
-            fp_budget=config.fp_budget,
+            fp_budget=knobs.fp_budget,
         )
-        family = _family_for(attack, config)
-        result = family.run(ctx, severity, seed)
-
-    return RobustnessCell(
-        program=program_name,
-        model=model_name,
-        attack=attack,
-        severity=severity,
-        threshold=float(threshold),
-        n_train_segments=train_part.n_unique,
-        result=result,
-    )
+        cells = []
+        for attack in config.attacks:
+            family = _family_for(attack, knobs)
+            for severity in config.severities:
+                measurement = {**point, "attack": attack, "severity": severity}
+                run_seed = derive_seed(
+                    config.seed, _GRID_NAME, sorted(measurement.items())
+                )
+                cells.append(
+                    RobustnessCell(
+                        program=program_name,
+                        model=model_name,
+                        attack=attack,
+                        severity=severity,
+                        threshold=float(threshold),
+                        n_train_segments=train_part.n_unique,
+                        result=family.run(ctx, severity, run_seed),
+                    )
+                )
+    return tuple(cells)
 
 
 def robustness_grid(
@@ -248,9 +259,13 @@ def robustness_grid(
 ) -> GridSpec:
     """The adversarial grid as a :class:`~repro.runtime.GridSpec`.
 
-    Run it with :func:`repro.api.run_grid` (or the ``repro robustness``
-    CLI); feed the result to :func:`repro.robustness.build_corpus`.
+    One cell per (program, model) column; each cell measures every attack
+    at every severity against one trained detector.  Run it with
+    :func:`repro.api.run_grid` (or the ``repro robustness`` CLI); feed the
+    result to :func:`repro.robustness.build_corpus`.
     """
+    attacks = tuple(attacks)
+    severities = tuple(int(s) for s in severities)
     for model in models:
         model_is_context_sensitive(model)  # validates the name
     for attack in attacks:
@@ -258,89 +273,25 @@ def robustness_grid(
             raise EvaluationError(
                 f"unknown attack family {attack!r}; choose from {ATTACK_FAMILIES}"
             )
+    # Attacks and severities vary inside each cell; they get the checks
+    # GridSpec gives its own axes (non-empty, no repeats).
+    GridAxis("attack", attacks)
+    GridAxis("severity", severities)
+    if min(severities) < 1:
+        raise EvaluationError(f"severities must be >= 1, got {list(severities)}")
     return GridSpec(
-        name="robustness",
+        name=_GRID_NAME,
         axes=(
             GridAxis("program", tuple(programs)),
             GridAxis("model", tuple(models)),
-            GridAxis("attack", tuple(attacks)),
-            GridAxis("severity", tuple(int(s) for s in severities)),
         ),
-        cell=_robustness_cell,
-        config=config or RobustnessConfig(),
-        seed=seed,
-        version=1,
-    )
-
-
-@dataclass
-class RobustnessGrid:
-    """A held-open robustness study: spec + runtime, run/resume on demand.
-
-    The facade handle behind :func:`repro.api.open_robustness_grid`,
-    mirroring ``open_service``/``open_gateway``: construction is cheap and
-    does no work; :meth:`run` executes (or resumes) the grid and
-    :meth:`corpus`/:meth:`report` derive the artifacts from the last run.
-    """
-
-    spec: GridSpec
-    executor: ParallelExecutor | None = None
-    cache: ArtifactCache | None = None
-    _last: GridResult | None = field(default=None, repr=False)
-
-    @property
-    def n_cells(self) -> int:
-        return self.spec.n_cells
-
-    def cells_cached(self) -> int:
-        """How many cells a resumed run would load instead of compute."""
-        from ..runtime.grid import grid_cells_cached
-
-        if self.cache is None:
-            return 0
-        return grid_cells_cached(self.spec, self.cache)
-
-    def run(self, resume: bool = True) -> GridResult:
-        self._last = run_grid(
-            self.spec, executor=self.executor, cache=self.cache, resume=resume
-        )
-        return self._last
-
-    def corpus(self) -> dict:
-        """The versioned measured-corpus artifact for the last run."""
-        from .corpus import build_corpus
-
-        if self._last is None:
-            self.run()
-        return build_corpus(self._last)
-
-    def report(self) -> str:
-        """Markdown report (bootstrap CIs per cell) for the last run."""
-        from .corpus import render_report
-
-        return render_report(self.corpus())
-
-
-def open_robustness_grid(
-    programs: Sequence[str],
-    models: Sequence[str] = MODEL_NAMES,
-    attacks: Sequence[str] = ATTACK_FAMILIES,
-    severities: Sequence[int] = DEFAULT_SEVERITIES,
-    config: RobustnessConfig | None = None,
-    seed: int = 0,
-    executor: ParallelExecutor | None = None,
-    cache: ArtifactCache | None = None,
-) -> RobustnessGrid:
-    """Open a robustness study handle (see :class:`RobustnessGrid`)."""
-    return RobustnessGrid(
-        spec=robustness_grid(
-            programs,
-            models=models,
+        cell=_column_cell,
+        config=RobustnessGridConfig(
+            robustness=config or RobustnessConfig(),
             attacks=attacks,
             severities=severities,
-            config=config,
             seed=seed,
         ),
-        executor=executor,
-        cache=cache,
+        seed=seed,
+        version=2,
     )

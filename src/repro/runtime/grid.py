@@ -31,8 +31,8 @@ artifact cache handle (or ``None``).  The return value must pickle.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
-from typing import Any, Callable, Iterator, Mapping, Sequence
+from dataclasses import dataclass
+from typing import Any, Callable, Iterator, Mapping
 
 from .. import telemetry
 from ..errors import EvaluationError
@@ -144,25 +144,9 @@ class GridResult:
     resumed: int = 0
     computed: int = 0
     elapsed_s: float = 0.0
-    resumed_keys: tuple[str, ...] = field(default_factory=tuple, repr=False)
 
     def __iter__(self) -> Iterator[tuple[dict[str, Any], Any]]:
         return iter(zip(self.points, self.cells))
-
-    def cell(self, **coords: Any) -> Any:
-        """The result at one exact point (every axis named)."""
-        for point, cell in zip(self.points, self.cells):
-            if point == coords:
-                return cell
-        raise EvaluationError(f"no grid cell at {coords}")
-
-    def select(self, **coords: Any) -> list[tuple[dict[str, Any], Any]]:
-        """All (point, cell) pairs matching a partial point."""
-        return [
-            (point, cell)
-            for point, cell in zip(self.points, self.cells)
-            if all(point.get(k) == v for k, v in coords.items())
-        ]
 
 
 def _run_cell_task(
@@ -219,7 +203,6 @@ def run_grid(
 
     cells: list[Any] = [None] * len(points)
     pending: list[int] = []
-    resumed_keys: list[str] = []
     with telemetry.span("grid.run", grid=spec.name):
         telemetry.counter_add("grid.cells", len(points))
         if cache is not None and resume:
@@ -227,7 +210,6 @@ def run_grid(
                 cached = cache.get_object(key)
                 if cached is not None:
                     cells[index] = cached
-                    resumed_keys.append(key)
                     telemetry.counter_add("grid.cells.resumed")
                 else:
                     pending.append(index)
@@ -246,25 +228,20 @@ def run_grid(
         spec=spec,
         points=points,
         cells=cells,
-        resumed=len(resumed_keys),
+        resumed=len(points) - len(pending),
         computed=len(pending),
         elapsed_s=time.perf_counter() - started,
-        resumed_keys=tuple(resumed_keys),
     )
 
 
-def grid_cells_cached(
-    spec: GridSpec, cache: ArtifactCache, points: Sequence[Mapping[str, Any]] | None = None
-) -> int:
+def grid_cells_cached(spec: GridSpec, cache: ArtifactCache) -> int:
     """How many of the spec's cells are already resumable from ``cache``.
 
     Probes existence without counting cache-stats hits/misses (it peeks at
     the paths directly), so a progress probe does not skew telemetry.
     """
-    if points is None:
-        points = spec.points()
     return sum(
         1
-        for point in points
+        for point in spec.points()
         if cache._object_path(spec.cell_key(point)).exists()
     )

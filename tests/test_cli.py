@@ -1,5 +1,7 @@
 """Tests for the command-line interface."""
 
+import warnings
+
 import pytest
 
 from repro.cli import build_parser, main
@@ -70,6 +72,19 @@ class TestCommands:
         lines = [ln for ln in capsys.readouterr().out.splitlines() if ln.strip()]
         scores = [float(line.split()[0]) for line in lines[-2:]]
         assert len(scores) == 2
+
+    def test_train_leaves_jobs_unresolved(self, tmp_path):
+        # Only `robustness` fans out, so only it resolves (and clamps) --jobs.
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = main(
+                [
+                    "--jobs", "999", "train", "gzip", "--model", "regular-basic",
+                    "--cases", "5", "--output", str(tmp_path / "m.npz"),
+                ]
+            )
+        assert code == 0
+        assert not [w for w in caught if "clamping" in str(w.message)]
 
     def test_score_empty_file_errors(self, tmp_path):
         from repro.hmm import random_model, save_model

@@ -93,14 +93,6 @@ class TestRunGrid:
             assert cell["value"] == point["x"] * 3 + point["y"]
             assert cell["seed"] == _spec().cell_seed(point)
 
-    def test_cell_and_select_lookups(self):
-        result = run_grid(_spec())
-        assert result.cell(x=2, y=10)["value"] == 16
-        assert len(result.select(x=2)) == 2
-        assert len(result.select()) == 6
-        with pytest.raises(EvaluationError, match="no grid cell"):
-            result.cell(x=99, y=10)
-
     def test_resume_loads_cached_cells(self, tmp_path):
         cache = ArtifactCache(tmp_path)
         first = run_grid(_spec(), cache=cache)
@@ -108,7 +100,6 @@ class TestRunGrid:
         second = run_grid(_spec(), cache=cache)
         assert (second.computed, second.resumed) == (0, 6)
         assert second.cells == first.cells
-        assert len(second.resumed_keys) == 6
 
     def test_partial_resume_computes_only_missing(self, tmp_path):
         cache = ArtifactCache(tmp_path)
@@ -137,7 +128,8 @@ class TestRunGrid:
         run_grid(_spec(scale=3), cache=cache)
         result = run_grid(_spec(scale=4), cache=cache)
         assert result.computed == 6 and result.resumed == 0
-        assert result.cell(x=1, y=10)["value"] == 14
+        assert result.points[0] == {"x": 1, "y": 10}
+        assert result.cells[0]["value"] == 14
 
     def test_parallel_matches_serial(self, tmp_path):
         serial = run_grid(_spec())

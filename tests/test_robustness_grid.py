@@ -27,6 +27,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro import telemetry
 from repro.api import load_pretrained
 from repro.errors import EvaluationError, ServiceError
 from repro.hmm import random_model
@@ -35,11 +36,16 @@ from repro.robustness import (
     MimicryProfile,
     RobustnessConfig,
     craft_mimicry_stream,
-    open_robustness_grid,
     robustness_grid,
 )
-from repro.robustness.corpus import build_corpus, load_corpus, write_corpus
-from repro.runtime import ArtifactCache
+from repro.robustness.corpus import (
+    build_corpus,
+    load_corpus,
+    render_report,
+    write_corpus,
+)
+from repro.runtime import ArtifactCache, ParallelExecutor, run_grid
+from repro.runtime.grid import grid_cells_cached
 from repro.service import Absorbed, DetectionService, Scored, ServiceConfig
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
@@ -194,6 +200,22 @@ class TestServiceGapPath:
 
 TEST_CONFIG = RobustnessConfig(mimicry_instances=3, gap_instances=4)
 
+#: Two (program, model) columns of two measurements each.
+GRID_SPEC = robustness_grid(
+    ["gzip"],
+    models=["regular-basic", "regular-context"],
+    attacks=["mimicry", "gap"],
+    severities=[2],
+    config=TEST_CONFIG,
+)
+
+
+def _measured(corpus: dict) -> str:
+    """The corpus blocks that must be bit-identical across runs."""
+    return json.dumps(
+        {"cells": corpus["cells"], "summary": corpus["summary"]}, sort_keys=True
+    )
+
 
 @pytest.fixture(scope="module")
 def grid_cache(tmp_path_factory):
@@ -202,16 +224,7 @@ def grid_cache(tmp_path_factory):
 
 @pytest.fixture(scope="module")
 def grid_run(grid_cache):
-    grid = open_robustness_grid(
-        ["gzip"],
-        models=["regular-basic", "regular-context"],
-        attacks=["mimicry", "gap"],
-        severities=[2],
-        config=TEST_CONFIG,
-        cache=grid_cache,
-    )
-    result = grid.run()
-    return grid, result
+    return run_grid(GRID_SPEC, cache=grid_cache)
 
 
 class TestRobustnessGrid:
@@ -221,49 +234,78 @@ class TestRobustnessGrid:
         with pytest.raises(Exception):
             robustness_grid(["gzip"], models=["no-such-model"])
         spec = robustness_grid(["gzip"])
-        assert spec.n_cells == 4 * len(ATTACK_FAMILIES) * 3
+        # One cell per (program, model) column; attacks and severities
+        # run inside it.
+        assert spec.n_cells == 4
+        assert spec.config.attacks == ATTACK_FAMILIES
+        assert spec.config.severities == (1, 2, 3)
+
+    def test_spec_validates_attacks_and_severities(self):
+        with pytest.raises(EvaluationError, match="no values"):
+            robustness_grid(["gzip"], attacks=[])
+        with pytest.raises(EvaluationError, match="repeats"):
+            robustness_grid(["gzip"], attacks=["gap", "gap"])
+        with pytest.raises(EvaluationError, match="no values"):
+            robustness_grid(["gzip"], severities=[])
+        with pytest.raises(EvaluationError, match="repeats"):
+            robustness_grid(["gzip"], severities=[2, 2])
+
+    def test_spec_rejects_severities_below_one(self):
+        with pytest.raises(EvaluationError, match="severities must be >= 1"):
+            robustness_grid(["gzip"], severities=[0, -1])
+        with pytest.raises(EvaluationError, match="severities must be >= 1"):
+            robustness_grid(["gzip"], severities=[1, 0])
 
     def test_cells_are_measured(self, grid_run):
-        _, result = grid_run
-        assert result.computed == 4
-        for point, cell in result:
-            assert cell.program == "gzip"
-            assert cell.model == point["model"]
-            assert np.isfinite(cell.threshold)
-            assert cell.n_train_segments > 0
-            assert 0.0 <= cell.detection_rate <= 1.0
-            n = (
-                TEST_CONFIG.mimicry_instances
-                if point["attack"] == "mimicry"
-                else TEST_CONFIG.gap_instances
-            )
-            assert len(cell.result.instance_detected) == n
+        assert grid_run.computed == 2
+        for point, column in grid_run:
+            assert [(cell.attack, cell.severity) for cell in column] == [
+                ("mimicry", 2),
+                ("gap", 2),
+            ]
+            for cell in column:
+                assert cell.program == "gzip"
+                assert cell.model == point["model"]
+                assert np.isfinite(cell.threshold)
+                assert cell.n_train_segments > 0
+                assert 0.0 <= cell.detection_rate <= 1.0
+                n = (
+                    TEST_CONFIG.mimicry_instances
+                    if cell.attack == "mimicry"
+                    else TEST_CONFIG.gap_instances
+                )
+                assert len(cell.result.instance_detected) == n
+            # One detector per column: every measurement shares its
+            # operating point.
+            assert len({cell.threshold for cell in column}) == 1
 
     def test_resumed_grid_bit_identical(self, grid_run, grid_cache):
-        grid, first = grid_run
-        corpus_first = build_corpus(first)
-        reopened = open_robustness_grid(
-            ["gzip"],
-            models=["regular-basic", "regular-context"],
-            attacks=["mimicry", "gap"],
-            severities=[2],
-            config=TEST_CONFIG,
-            cache=grid_cache,
+        assert grid_cells_cached(GRID_SPEC, grid_cache) == 2
+        second = run_grid(GRID_SPEC, cache=grid_cache)
+        assert second.resumed == 2 and second.computed == 0
+        assert _measured(build_corpus(grid_run)) == _measured(
+            build_corpus(second)
         )
-        assert reopened.cells_cached() == 4
-        second = reopened.run()
-        assert second.resumed == 4 and second.computed == 0
-        corpus_second = build_corpus(second)
-        dump = lambda c: json.dumps(  # noqa: E731
-            {"cells": c["cells"], "summary": c["summary"]}, sort_keys=True
-        )
-        assert dump(corpus_first) == dump(corpus_second)
 
     def test_corpus_structure_and_roundtrip(self, grid_run, tmp_path):
-        grid, _ = grid_run
-        corpus = grid.corpus()
+        corpus = build_corpus(grid_run)
         assert corpus["format"] == "repro.robustness.corpus"
-        assert corpus["grid"]["n_cells"] == 4
+        assert corpus["grid"]["spec_version"] == 2
+        assert corpus["grid"]["axes"] == {
+            "program": ["gzip"],
+            "model": ["regular-basic", "regular-context"],
+            "attack": ["mimicry", "gap"],
+            "severity": [2],
+        }
+        # n_cells counts measurements; meta counts grid cells.
+        assert corpus["grid"]["n_cells"] == len(corpus["cells"]) == 4
+        assert corpus["meta"]["computed_cells"] == 2
+        assert [(c["model"], c["attack"]) for c in corpus["cells"]] == [
+            ("regular-basic", "mimicry"),
+            ("regular-basic", "gap"),
+            ("regular-context", "mimicry"),
+            ("regular-context", "gap"),
+        ]
         for cell in corpus["cells"]:
             for block in ("detection", "baseline_detection", "false_alarms"):
                 ci = cell[block]
@@ -284,18 +326,58 @@ class TestRobustnessGrid:
             load_corpus(tmp_path / "not.json")
 
     def test_report_renders(self, grid_run):
-        grid, _ = grid_run
-        report = grid.report()
+        report = render_report(build_corpus(grid_run))
         assert "mimicry" in report and "regular-context" in report
         assert "95%" in report or "CI" in report
 
     def test_mimicry_lowers_detection_on_some_variant(self, grid_run):
-        _, result = grid_run
         drops = [
             cell.baseline_detection_rate - cell.detection_rate
-            for _, cell in result.select(attack="mimicry")
+            for _, column in grid_run
+            for cell in column
+            if cell.attack == "mimicry"
         ]
         assert max(drops) > 0, "mimicry never beat the naive splice"
+
+
+class TestColumnCells:
+    """One grid cell is one trained detector, whatever the runtime."""
+
+    SPEC = robustness_grid(
+        ["gzip"],
+        models=["regular-basic", "regular-context"],
+        attacks=["gap"],
+        severities=[1, 2],
+        config=TEST_CONFIG,
+    )
+
+    @pytest.fixture(scope="class")
+    def runs(self, tmp_path_factory):
+        runs = {}
+        for jobs in (1, 2):
+            for cached in (False, True):
+                cache = (
+                    ArtifactCache(tmp_path_factory.mktemp("columns"))
+                    if cached
+                    else None
+                )
+                with telemetry.session():
+                    result = run_grid(
+                        self.SPEC, executor=ParallelExecutor(jobs=jobs), cache=cache
+                    )
+                    runs[jobs, cached] = (build_corpus(result), telemetry.snapshot())
+        return runs
+
+    @pytest.mark.parametrize("cached", [False, True], ids=["no-cache", "cache"])
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_one_prepare_and_one_fit_per_column(self, runs, jobs, cached):
+        _, snapshot = runs[jobs, cached]
+        assert snapshot["spans"]["eval.prepare_program"]["count"] == 2
+        assert snapshot["counters"]["hmm.train.runs"] == 2
+
+    def test_corpus_equal_at_jobs_1_and_2(self, runs):
+        for cached in (False, True):
+            assert _measured(runs[1, cached][0]) == _measured(runs[2, cached][0])
 
 
 class TestCli:
@@ -331,6 +413,26 @@ class TestCli:
         assert corpus["grid"]["axes"]["attack"] == ["gap"]
         assert "Robustness" in report_out.read_text() or report_out.stat().st_size
 
+    def test_rejects_severity_below_one_before_running(self, capsys):
+        from repro.cli import main
+
+        code = main(
+            [
+                "--no-cache",
+                "robustness",
+                "--models",
+                "regular-basic",
+                "--attacks",
+                "gap",
+                "--severities",
+                "0",
+            ]
+        )
+        assert code == 2
+        captured = capsys.readouterr()
+        assert "severities must be >= 1" in captured.err
+        assert "robustness grid" not in captured.out
+
     def test_rejects_unknown_attack(self):
         from repro.cli import build_parser
 
@@ -340,9 +442,10 @@ class TestCli:
 
 @pytest.mark.stress
 def test_sigkill_mid_grid_resumes_bit_identical(tmp_path):
-    """Kill -9 a running grid once its first cell is on disk, resume it,
+    """Kill -9 a running grid once its first column is on disk, resume it,
     and demand byte-equality with an uninterrupted run."""
     env = {**os.environ, "PYTHONPATH": str(REPO_ROOT / "src")}
+    models = ["regular-basic", "regular-context"]
     severities = [1, 2]
 
     def args(cache: str, corpus: str) -> list[str]:
@@ -351,7 +454,7 @@ def test_sigkill_mid_grid_resumes_bit_identical(tmp_path):
             "--cache-dir", str(tmp_path / cache),
             "robustness",
             "--programs", "gzip",
-            "--models", "regular-basic",
+            "--models", *models,
             "--attacks", "gap",
             "--severities", *map(str, severities),
             "--corpus-out", str(tmp_path / corpus),
@@ -359,14 +462,14 @@ def test_sigkill_mid_grid_resumes_bit_identical(tmp_path):
 
     # The grid the CLI builds from those flags (default kind and seed), to
     # watch its cells land in the victim's cache.
-    grid = open_robustness_grid(
+    spec = robustness_grid(
         ["gzip"],
-        models=["regular-basic"],
+        models=models,
         attacks=["gap"],
         severities=severities,
         config=RobustnessConfig(kind="syscall"),
-        cache=ArtifactCache(tmp_path / "cache-a"),
     )
+    victim_cache = ArtifactCache(tmp_path / "cache-a")
     victim = subprocess.Popen(
         args("cache-a", "killed.json"),
         env=env,
@@ -375,7 +478,7 @@ def test_sigkill_mid_grid_resumes_bit_identical(tmp_path):
         stderr=subprocess.DEVNULL,
     )
     deadline = time.monotonic() + 120.0
-    while grid.cells_cached() == 0:
+    while grid_cells_cached(spec, victim_cache) == 0:
         assert victim.poll() is None, "grid run exited before its first cell"
         assert time.monotonic() < deadline, "no grid cell reached the cache"
         time.sleep(0.01)
@@ -390,7 +493,7 @@ def test_sigkill_mid_grid_resumes_bit_identical(tmp_path):
         text=True,
     )
     assert resumed.returncode == 0, resumed.stderr
-    assert f"resuming: 1/{grid.n_cells} cells cached" in resumed.stdout
+    assert "resuming: 1/2 cells cached" in resumed.stdout
     fresh = subprocess.run(
         args("cache-b", "fresh.json"),
         env=env,
@@ -400,9 +503,6 @@ def test_sigkill_mid_grid_resumes_bit_identical(tmp_path):
     )
     assert fresh.returncode == 0, fresh.stderr
 
-    resumed_corpus = load_corpus(tmp_path / "resumed.json")
-    fresh_corpus = load_corpus(tmp_path / "fresh.json")
-    measured = lambda c: json.dumps(  # noqa: E731
-        {"cells": c["cells"], "summary": c["summary"]}, sort_keys=True
+    assert _measured(load_corpus(tmp_path / "resumed.json")) == _measured(
+        load_corpus(tmp_path / "fresh.json")
     )
-    assert measured(resumed_corpus) == measured(fresh_corpus)
